@@ -197,6 +197,59 @@ let test_next_limited_resume () =
   Alcotest.(check bool) "same members in same order" true
     (List.for_all2 D.Fact.Set.equal expected got)
 
+(* --- Conflict budgets through Batch.run ----------------------------------- *)
+
+let members_equal a b = List.equal D.Fact.Set.equal a b
+
+let test_batch_budget () =
+  (* The 3SAT reduction again, loaded raw so that its descents really
+     conflict. Batch.run stops a tuple at its first give-up and keeps
+     the members found before it; without a budget the same tuples run
+     to completion with the sequential member lists. *)
+  let cnf = [ [ 1; 2; 3 ]; [ -1; -2; 3 ]; [ 1; -2; -3 ]; [ -1; 2; -3 ] ] in
+  let inst = P.Reductions.of_3sat ~nvars:3 cnf in
+  let program = inst.P.Reductions.program and db = inst.P.Reductions.database in
+  let spec = P.Batch.All_answers (D.Fact.pred inst.P.Reductions.goal) in
+  let run ?conflict_budget jobs =
+    (P.Batch.run ~jobs ?conflict_budget ~preprocess:false program db spec)
+      .P.Batch.results
+  in
+  let same_results a b =
+    List.equal
+      (fun (x : P.Batch.result) (y : P.Batch.result) ->
+        D.Fact.equal x.P.Batch.fact y.P.Batch.fact
+        && x.P.Batch.status = y.P.Batch.status
+        && members_equal x.P.Batch.members y.P.Batch.members)
+      a b
+  in
+  let budgeted = run ~conflict_budget:1 1 in
+  Alcotest.(check bool) "several tuples" true (List.length budgeted >= 2);
+  Alcotest.(check bool) "budget gave up" true
+    (List.exists
+       (fun (r : P.Batch.result) -> r.P.Batch.status = P.Batch.Budget_exhausted)
+       budgeted);
+  Alcotest.(check bool) "jobs 1 = jobs 2 under the budget" true
+    (same_results budgeted (run ~conflict_budget:1 2));
+  let unbudgeted = run 2 in
+  Alcotest.(check bool) "jobs 1 = jobs 2 without a budget" true
+    (same_results unbudgeted (run 1));
+  List.iter2
+    (fun (r : P.Batch.result) (b : P.Batch.result) ->
+      let expected =
+        P.Enumerate.to_list
+          (P.Enumerate.create ~preprocess:false program db r.P.Batch.fact)
+      in
+      let name = D.Fact.to_string r.P.Batch.fact in
+      Alcotest.(check bool) (name ^ " complete") true
+        (r.P.Batch.status = P.Batch.Complete);
+      Alcotest.(check bool) (name ^ " = sequential") true
+        (members_equal expected r.P.Batch.members);
+      (* What the budgeted run kept is a prefix of the full list. *)
+      let kept = List.length b.P.Batch.members in
+      Alcotest.(check bool) (name ^ " budgeted prefix") true
+        (members_equal b.P.Batch.members (List.filteri (fun i _ -> i < kept) expected)))
+    unbudgeted budgeted
+
 (* --- Shared instance cache ----------------------------------------------- *)
 
 let closure_fingerprint c =
@@ -280,6 +333,7 @@ let suite =
     @ [
         tc "terminal unsat certified" `Quick test_batch_terminal_unsat_certified;
         tc "next_limited resume" `Quick test_next_limited_resume;
+        tc "budget gives up, jobs-independent" `Quick test_batch_budget;
         tc "cached closure = standalone" `Quick test_cached_closure_equals_standalone;
         tc "statuses and ranks" `Quick test_batch_statuses;
         tc "all-answers ordering" `Quick test_all_answers_sorted;
