@@ -376,7 +376,7 @@ let batch () =
                 0 outcome.P.Batch.results
             in
             emit_stats_row "batch"
-              Metrics.Json.
+              Util.Json.
                 [
                   ("scenario", Str scenario.W.Scenario.name);
                   ("db", Str db_name);
@@ -483,7 +483,7 @@ let engine () =
         let per_s t = float_of_int derived /. t in
         let speedup = old_s /. new_s in
         emit_stats_row "engine"
-          Metrics.Json.
+          Util.Json.
             [
               ("workload", Str name);
               ("facts", Num (float_of_int facts));
@@ -601,7 +601,7 @@ let planner () =
     in
     let speedup = heur_s /. cost_s in
     emit_stats_row "planner"
-      Metrics.Json.
+      Util.Json.
         [
           ("workload", Str name);
           ("facts", Num (float_of_int facts));
@@ -733,7 +733,7 @@ let preprocess () =
             | None -> assert false
           in
           emit_stats_row "preprocess"
-            Metrics.Json.
+            Util.Json.
               [
                 ("scenario", Str scenario.W.Scenario.name);
                 ("db", Str db_name);
@@ -858,7 +858,7 @@ let tracing () =
   row "  enabled            %s/run   overhead %.2f%% (%d events/run)\n"
     (time_str on_) (100.0 *. on_overhead) events;
   emit_stats_row "tracing"
-    Metrics.Json.
+    Util.Json.
       [
         ("kernel", Str "andersen:model+closure+encode+first-member");
         ("disabled_s", Num baseline);
@@ -938,7 +938,7 @@ let analysis () =
           (match (auto, forced) with
           | Some (av, ac, at, _), Some (fv, fc, ft, _) ->
             emit_stats_row "analysis"
-              Metrics.Json.
+              Util.Json.
                 [
                   ("scenario", Str scenario.W.Scenario.name);
                   ("db", Str db_name);
@@ -1029,7 +1029,7 @@ let corpus () =
           List.iter
             (fun (i : Harden.Corpus.instance) ->
               emit_stats_row "corpus"
-                Metrics.Json.
+                Util.Json.
                   [
                     ("config", Str name);
                     ("preprocess", Bool preprocess);

@@ -71,14 +71,14 @@ let run_start = Unix.gettimeofday ()
 let current_workload = ref "-"
 
 (* Rows of this run, in emission order — the fresh side of --check. *)
-let collected_rows : Metrics.Json.t list ref = ref []
+let collected_rows : Util.Json.t list ref = ref []
 let stats_channel = ref None
 let recording () = config.stats_out <> None || config.check <> None
 
 let emit_stats_row kind fields =
   if recording () then begin
     let envelope =
-      Metrics.Json.(
+      Util.Json.(
         [ ("schema", Str bench_schema_version) ]
         @ (if List.mem_assoc "workload" fields then []
            else [ ("workload", Str !current_workload) ])
@@ -89,8 +89,8 @@ let emit_stats_row kind fields =
         @ (match config.rev with Some r -> [ ("rev", Str r) ] | None -> []))
     in
     let row =
-      Metrics.Json.Obj
-        ((("kind", Metrics.Json.Str kind) :: envelope)
+      Util.Json.Obj
+        ((("kind", Util.Json.Str kind) :: envelope)
         @ fields
         @ [ ("metrics", Metrics.snapshot_to_json ()) ])
     in
@@ -107,7 +107,7 @@ let emit_stats_row kind fields =
           at_exit (fun () -> close_out oc);
           oc
       in
-      output_string oc (Metrics.Json.to_string row);
+      output_string oc (Util.Json.to_string row);
       output_char oc '\n';
       flush oc
   end
@@ -212,7 +212,7 @@ let measure_build program model db goal =
   stats_begin ();
   let emit_row (m : build_measurement) =
     emit_stats_row "build"
-      Metrics.Json.
+      Util.Json.
         [
           ("goal", Str (D.Fact.to_string m.goal));
           ("closure_s", Num m.closure_time);
@@ -300,7 +300,7 @@ let measure_enumeration ?(limit = config.member_limit) closure encoding =
     }
   in
   emit_stats_row "enumerate"
-    Metrics.Json.
+    Util.Json.
       [
         ("goal", Str (D.Fact.to_string (P.Closure.root closure)));
         ("members", Num (float_of_int m.members));

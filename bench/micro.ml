@@ -140,13 +140,11 @@ let tests () =
            Fun.protect
              ~finally:(fun () -> Util.Metrics.set_enabled false)
              (fun () -> ignore (D.Eval.seminaive program db))));
-    (* Tracing kernels, mirroring the metrics pair: the fully
-       instrumented pipeline with the event recorder off (every span
-       site is one atomic-flag branch — the satellite budget is < 2%
-       vs. the uninstrumented baseline above) and on (ring-buffer
-       writes; the buffer is reset each run so it never wraps). *)
-    Test.make ~name:"tracing:seminaive-off"
-      (Staged.stage (fun () -> ignore (D.Eval.seminaive program db)));
+    (* Tracing kernels: semi-naive evaluation and the first member with
+       the event recorder on (ring-buffer writes; the buffer is reset
+       each run so it never wraps). Their recorder-off baselines are
+       metrics:seminaive-off and fig2:first-member: with one span
+       primitive, every sink off is the same code path. *)
     Test.make ~name:"tracing:seminaive-on"
       (Staged.stage (fun () ->
            Util.Tracing.reset ();
@@ -154,10 +152,6 @@ let tests () =
            Fun.protect
              ~finally:(fun () -> Util.Tracing.set_enabled false)
              (fun () -> ignore (D.Eval.seminaive program db))));
-    Test.make ~name:"tracing:first-member-off"
-      (Staged.stage (fun () ->
-           let e = P.Enumerate.of_closure closure in
-           ignore (P.Enumerate.next e)));
     Test.make ~name:"tracing:first-member-on"
       (Staged.stage (fun () ->
            Util.Tracing.reset ();

@@ -22,7 +22,7 @@
    regressions too: a baseline is a contract on the shape of the run,
    not only on its speed. *)
 
-module Json = Util.Metrics.Json
+module Json = Util.Json
 
 let noise_floor_s = 0.005
 

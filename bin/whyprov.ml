@@ -24,9 +24,9 @@
    Every command additionally accepts --stats[=json] and
    --stats-out FILE, which enable the pipeline-wide metrics registry
    (see docs/OBSERVABILITY.md) and emit a snapshot when the process
-   exits; --trace FILE / --trace-jsonl FILE, which record the
-   structured event timeline (Chrome trace-event JSON for Perfetto /
-   chrome://tracing, or line-oriented JSON) and flush it on exit; and
+   exits; --trace FILE, which records the structured event timeline
+   (Chrome trace-event JSON for Perfetto / chrome://tracing) and
+   flushes it on exit; and
    --progress[=N], which prints live SAT search telemetry to stderr
    every N conflicts plus a final one-line summary. *)
 
@@ -34,6 +34,18 @@ module D = Datalog
 module P = Provenance
 module A = Whyprov_analysis
 module Metrics = Util.Metrics
+
+(* Write [path] at exit through [writer]: a bad path is reported under
+   [flag] instead of aborting the process with an uncaught exception. *)
+let write flag path writer =
+  try
+    let oc = open_out path in
+    writer oc;
+    close_out oc
+  with Sys_error msg -> Printf.eprintf "whyprov: %s: %s\n" flag msg
+
+let write_json_line flag path json =
+  write flag path (fun oc -> Printf.fprintf oc "%s\n" (Util.Json.to_string json))
 
 (* Enable the metrics registry and register the snapshot emission for
    process exit, so commands that terminate through [exit] (check) and
@@ -44,17 +56,9 @@ let setup_stats stats stats_out =
   if stats <> None || stats_out <> None then begin
     Metrics.set_enabled true;
     at_exit (fun () ->
-        (match stats_out with
-        | Some path -> (
-          (* Running at exit: report a bad path instead of aborting the
-             process with an uncaught exception. *)
-          try
-            let oc = open_out path in
-            output_string oc (Metrics.to_json_string ());
-            output_char oc '\n';
-            close_out oc
-          with Sys_error msg -> Printf.eprintf "whyprov: --stats-out: %s\n" msg)
-        | None -> ());
+        Option.iter
+          (fun path -> write_json_line "--stats-out" path (Metrics.snapshot_to_json ()))
+          stats_out;
         match stats with
         | Some `Json -> print_endline (Metrics.to_json_string ())
         | Some `Human -> prerr_string (Metrics.to_string ())
@@ -64,25 +68,14 @@ let setup_stats stats stats_out =
 (* Enable the event-trace recorder and register the flush for process
    exit. Recording is stopped before flushing so the writers see a
    quiescent buffer set (worker domains are joined long before exit). *)
-let setup_tracing trace trace_jsonl =
-  if trace <> None || trace_jsonl <> None then begin
-    Util.Tracing.set_enabled true;
-    at_exit (fun () ->
-        Util.Tracing.set_enabled false;
-        let write flag path writer =
-          try
-            let oc = open_out path in
-            writer oc;
-            close_out oc
-          with Sys_error msg -> Printf.eprintf "whyprov: %s: %s\n" flag msg
-        in
-        (match trace with
-        | Some path -> write "--trace" path Util.Tracing.write_chrome
-        | None -> ());
-        match trace_jsonl with
-        | Some path -> write "--trace-jsonl" path Util.Tracing.write_jsonl
-        | None -> ())
-  end
+let setup_tracing trace =
+  Option.iter
+    (fun path ->
+      Util.Tracing.set_enabled true;
+      at_exit (fun () ->
+          Util.Tracing.set_enabled false;
+          write "--trace" path Util.Tracing.write_chrome))
+    trace
 
 (* Live solver telemetry: a MiniSat-style stderr line every N conflicts
    (the callback runs on whichever domain is solving, hence the mutex)
@@ -128,17 +121,11 @@ let setup_profile profile =
         D.Profile.set_enabled false;
         let prof = D.Profile.snapshot () in
         if target = "" then Format.eprintf "%a" (D.Profile.pp ?top:None) prof
-        else
-          try
-            let oc = open_out target in
-            output_string oc (Metrics.Json.to_string (D.Profile.to_json prof));
-            output_char oc '\n';
-            close_out oc
-          with Sys_error msg -> Printf.eprintf "whyprov: --profile: %s\n" msg)
+        else write_json_line "--profile" target (D.Profile.to_json prof))
 
-let setup_obs stats stats_out trace trace_jsonl progress profile =
+let setup_obs stats stats_out trace progress profile =
   setup_stats stats stats_out;
-  setup_tracing trace trace_jsonl;
+  setup_tracing trace;
   setup_progress progress;
   setup_profile profile
 
@@ -357,12 +344,12 @@ let cmd_profile () path query jobs plan format top no_times out =
   | `Json -> (
     let doc =
       match D.Profile.to_json ~times:(not no_times) prof with
-      | Metrics.Json.Obj fields ->
-        Metrics.Json.Obj
+      | Util.Json.Obj fields ->
+        Util.Json.Obj
           (fields @ [ ("audit", D.Profile.audit_to_json audit) ])
       | other -> other
     in
-    let line = Metrics.Json.to_string doc in
+    let line = Util.Json.to_string doc in
     match out with
     | None -> print_endline line
     | Some file ->
@@ -379,7 +366,7 @@ let cmd_analyze () path query format deny_warnings =
   (match format with
   | `Human -> Format.printf "%a" A.Check.pp_human result
   | `Json ->
-    print_endline (Metrics.Json.to_string (A.Check.to_json ~file:path result)));
+    print_endline (Util.Json.to_string (A.Check.to_json ~file:path result)));
   let failed =
     result.A.Check.errors > 0
     || (deny_warnings && result.A.Check.warnings > 0)
@@ -395,7 +382,7 @@ let cmd_absint_report () path query plans format =
   match format with
   | `Json ->
     print_endline
-      (Metrics.Json.to_string
+      (Util.Json.to_string
          (A.Absint.to_json
             ?query:(Option.map D.Symbol.intern query)
             analysis))
@@ -745,15 +732,6 @@ let trace_arg =
            write it to $(docv) as Chrome trace-event JSON on exit — load in \
            Perfetto or chrome://tracing.")
 
-let trace_jsonl_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-jsonl" ] ~docv:"FILE"
-        ~doc:
-          "Record the structured event timeline and write it to $(docv) as \
-           line-oriented JSON (one event per line) on exit.")
-
 let progress_arg =
   Arg.(
     value
@@ -777,8 +755,8 @@ let profile_opt_arg =
 
 let stats_term =
   Term.(
-    const setup_obs $ stats_arg $ stats_out_arg $ trace_arg $ trace_jsonl_arg
-    $ progress_arg $ profile_opt_arg)
+    const setup_obs $ stats_arg $ stats_out_arg $ trace_arg $ progress_arg
+    $ profile_opt_arg)
 
 let answers_cmd =
   Cmd.v (Cmd.info "answers" ~doc:"Evaluate the query and print all answers")

@@ -26,7 +26,7 @@ dune exec --no-build test/cli/validate_stats.exe -- "$out"
 
 # Independent parse with a system JSON parser, when one is available.
 if command -v jq > /dev/null 2>&1; then
-  jq -e '.schema == "whyprov.metrics/1"' "$out" > /dev/null
+  jq -e '.schema == "whyprov.metrics/2"' "$out" > /dev/null
 elif command -v python3 > /dev/null 2>&1; then
   python3 -m json.tool "$out" > /dev/null
 fi

@@ -653,7 +653,7 @@ let pp_slice ppf s =
 (* JSON report                                                         *)
 (* ------------------------------------------------------------------ *)
 
-module Json = Util.Metrics.Json
+module Json = Util.Json
 
 let json_schema_version = "whyprov.analyze/1"
 

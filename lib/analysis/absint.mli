@@ -86,7 +86,7 @@ val pp : Format.formatter -> t -> unit
 val json_schema_version : string
 (** ["whyprov.analyze/1"], the ["schema"] field of {!to_json}. *)
 
-val to_json : ?query:Symbol.t -> t -> Util.Metrics.Json.t
+val to_json : ?query:Symbol.t -> t -> Util.Json.t
 (** The versioned machine-readable report emitted by
     [whyprov analyze --format json] (docs/ANALYSIS.md): per-predicate
     constant values, derivability and cardinality estimates, the

@@ -1,6 +1,6 @@
 open Datalog
 module Metrics = Util.Metrics
-module Json = Util.Metrics.Json
+module Json = Util.Json
 
 let m_checks = Metrics.counter "analysis.checks"
 let m_check_time = Metrics.timer "analysis.check"

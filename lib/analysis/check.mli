@@ -64,4 +64,4 @@ val pp_human : Format.formatter -> result -> unit
 val json_schema_version : string
 (** The ["schema"] field of {!to_json} output: ["whyprov.check/1"]. *)
 
-val to_json : ?file:string -> result -> Util.Metrics.Json.t
+val to_json : ?file:string -> result -> Util.Json.t

@@ -7,12 +7,12 @@ open Datalog
    The deeper layers — encode.*, sat.*, enum.* — tick from inside the
    worker domains and rely on [Util.Metrics] being domain-safe. *)
 module Metrics = Util.Metrics
-module Tracing = Util.Tracing
 
 let m_run_time = Metrics.timer "batch.run"
 let m_materialize_time = Metrics.timer "batch.materialize"
 let m_closures_time = Metrics.timer "batch.closures"
 let m_fanout_time = Metrics.timer "batch.fanout"
+let m_task_time = Metrics.timer "batch.task"
 let m_runs = Metrics.counter "batch.runs"
 let m_tasks = Metrics.counter "batch.tasks"
 let m_workers = Metrics.counter "batch.workers"
@@ -22,7 +22,6 @@ let m_limit_reached = Metrics.counter "batch.limit_reached"
 let m_budget_exhausted = Metrics.counter "batch.budget_exhausted"
 let m_too_large = Metrics.counter "batch.too_large"
 let m_not_derivable = Metrics.counter "batch.not_derivable"
-let m_task_us = Metrics.histogram "batch.task_us"
 
 type spec =
   | Facts of Fact.t list
@@ -62,7 +61,10 @@ let pp_status ppf status =
     | Too_large -> "too-large"
     | Not_derivable -> "not-derivable")
 
-let timed f =
+(* A [Metrics.time] span that also returns its wall time, which the
+   outcome reports whether or not metrics are on. *)
+let timed ?args timer f =
+  Metrics.time ?args timer @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
@@ -103,14 +105,11 @@ let enumerate_task ?acyclicity ?max_fill ?preprocess ?minimize_blocking ~limit
 
 let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
     ?preprocess ?minimize_blocking ?stats program db spec =
-  Tracing.with_span "batch.run" @@ fun () ->
   Metrics.time m_run_time @@ fun () ->
   Metrics.incr m_runs;
   let ranks : int Fact.Table.t = Fact.Table.create 1024 in
   let model, materialize_s =
-    Tracing.with_span "batch.materialize" @@ fun () ->
-    Metrics.time m_materialize_time @@ fun () ->
-    timed (fun () -> Eval.seminaive ~ranks ?stats program db)
+    timed m_materialize_time (fun () -> Eval.seminaive ~ranks ?stats program db)
   in
   let facts =
     match spec with
@@ -122,9 +121,7 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
   in
   let cache = Closure.instance_cache program ~model in
   let closures, closures_s =
-    Tracing.with_span "batch.closures" @@ fun () ->
-    Metrics.time m_closures_time @@ fun () ->
-    timed (fun () -> Array.map (Closure.build_cached cache db) facts)
+    timed m_closures_time (fun () -> Array.map (Closure.build_cached cache db) facts)
   in
   let fact_ranks = Array.map (fun f -> Fact.Table.find_opt ranks f) facts in
   let n = Array.length facts in
@@ -133,26 +130,22 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
   let run_task i =
     (* Per-tuple worker span, recorded on whichever domain claimed the
        index — the trace's per-tid rows show the actual interleaving. *)
-    let targs =
-      if Tracing.is_enabled () then
-        [
-          ("fact", Metrics.Json.Str (Fact.to_string facts.(i)));
-          ("index", Metrics.Json.Num (float_of_int i));
-        ]
-      else []
-    in
-    Tracing.with_span ~args:targs "batch.task" @@ fun () ->
     let (members, status), task_s =
-      timed (fun () ->
+      timed m_task_time
+        ~args:(fun () ->
+          [
+            ("fact", Util.Json.Str (Fact.to_string facts.(i)));
+            ("index", Util.Json.Num (float_of_int i));
+          ])
+        (fun () ->
           enumerate_task ?acyclicity ?max_fill ?preprocess ?minimize_blocking
             ~limit ~conflict_budget closures.(i))
     in
     results.(i) <-
       Some { fact = facts.(i); members; status; rank = fact_ranks.(i); task_s }
   in
-  let fanout () =
-    Tracing.with_span "batch.fanout" @@ fun () ->
-    timed @@ fun () ->
+  let (), fanout_s =
+    timed m_fanout_time @@ fun () ->
     if workers <= 1 then
       for i = 0 to n - 1 do
         run_task i
@@ -176,7 +169,6 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
       List.iter Domain.join domains
     end
   in
-  let (), fanout_s = Metrics.time m_fanout_time fanout in
   let results =
     Array.to_list
       (Array.map
@@ -188,7 +180,6 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
   List.iter
     (fun r ->
       Metrics.add m_members (List.length r.members);
-      Metrics.observe m_task_us (r.task_s *. 1e6);
       Metrics.incr
         (match r.status with
         | Complete -> m_complete

@@ -35,13 +35,9 @@ type t = {
    so that batch enumeration can memoize [Eval.derivations] across the
    closures of many answer tuples of the same materialization. *)
 let build_from ~derivations program db root_fact ~derivable =
-  let targs =
-    if Util.Tracing.is_enabled () then
-      [ ("root", Metrics.Json.Str (Fact.to_string root_fact)) ]
-    else []
-  in
-  Util.Tracing.with_span ~args:targs "closure.build" @@ fun () ->
-  Metrics.time m_build_time @@ fun () ->
+  Metrics.time m_build_time
+    ~args:(fun () -> [ ("root", Util.Json.Str (Fact.to_string root_fact)) ])
+  @@ fun () ->
   Metrics.incr m_builds;
   let edges_by_head : hyperedge list Fact.Table.t = Fact.Table.create 1024 in
   let visited : unit Fact.Table.t = Fact.Table.create 1024 in

@@ -9,6 +9,10 @@ open Datalog
 module Metrics = Util.Metrics
 
 let m_encode_time = Metrics.timer "encode.build"
+let m_phi_graph_time = Metrics.timer "encode.phi_graph"
+let m_phi_root_time = Metrics.timer "encode.phi_root"
+let m_phi_proof_time = Metrics.timer "encode.phi_proof"
+let m_phi_acyclic_time = Metrics.timer "encode.phi_acyclic"
 let m_encodes = Metrics.counter "encode.builds"
 let m_hyperedges = Metrics.counter "encode.hyperedges"
 let m_vars_node = Metrics.counter "encode.vars.node"
@@ -75,7 +79,6 @@ type elimination_order =
 let make ?acyclicity ?(elimination_order = Min_degree)
     ?(max_fill = max_int) ?(capture = false) ?(proof_logging = false)
     ?(preprocess = true) closure =
-  Util.Tracing.with_span "encode.build" @@ fun () ->
   Metrics.time m_encode_time @@ fun () ->
   Metrics.incr m_encodes;
   let acyclicity =
@@ -190,14 +193,14 @@ let make ?acyclicity ?(elimination_order = Min_degree)
     Util.Tracing.instant "encode.sizes"
       ~args:
         [
-          ("nodes", Metrics.Json.Num (float_of_int n));
-          ("edges", Metrics.Json.Num (float_of_int n_edges));
-          ("hyperedges", Metrics.Json.Num (float_of_int !n_hyper));
+          ("nodes", Util.Json.Num (float_of_int n));
+          ("edges", Util.Json.Num (float_of_int n_edges));
+          ("hyperedges", Util.Json.Num (float_of_int !n_hyper));
         ];
   let open Sat.Lit in
   (* φ_graph: an edge forces both endpoints. *)
   clause_group := m_clauses_graph;
-  Util.Tracing.with_span "encode.phi_graph" (fun () ->
+  Metrics.time m_phi_graph_time (fun () ->
       Pair_table.iter
         (fun k v ->
           let i = k / n and j = k mod n in
@@ -207,7 +210,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
   (* φ_root: the root is in, has no incoming edge, and every other chosen
      node has at least one incoming edge. *)
   clause_group := m_clauses_root;
-  Util.Tracing.with_span "encode.phi_root" (fun () ->
+  Metrics.time m_phi_root_time (fun () ->
       let root_id = Fact.Table.find id_of (Closure.root closure) in
       add_clause [ pos (xvar root_id) ];
       (match Hashtbl.find_opt in_neighbors root_id with
@@ -227,7 +230,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
   (* φ_proof: every chosen intensional node picks a hyperedge, and a
      picked hyperedge determines the exact out-edge set of its head. *)
   clause_group := m_clauses_proof;
-  Util.Tracing.with_span "encode.phi_proof" (fun () ->
+  Metrics.time m_phi_proof_time (fun () ->
       let edges_of_head : (int, (int * int list) list ref) Hashtbl.t =
         Hashtbl.create 256
       in
@@ -267,7 +270,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
   let vars_before_acyclic = Sat.Solver.num_vars solver in
   let elimination_width = ref 0 in
   let fill_edges = ref 0 in
-  Util.Tracing.with_span "encode.phi_acyclic" (fun () ->
+  Metrics.time m_phi_acyclic_time (fun () ->
   match acyclicity with
   | No_acyclicity ->
     (* Sound only when every candidate edge subset is acyclic — the

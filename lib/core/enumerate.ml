@@ -1,9 +1,9 @@
 open Datalog
 
-(* Observability (docs/OBSERVABILITY.md, "Enumerator"). Each solver
-   descent is timed into the enum.solve_us histogram — the per-witness
-   delay distribution of the paper's Figures 2/4 — while the enum.next
-   timer carries the stage total (the sat.solve spans nest under it). *)
+(* Observability (docs/OBSERVABILITY.md, "Enumerator"). The enum.next
+   timer carries the stage total; each solver descent is a sat.solve
+   span nested under it, whose duration quantiles are the per-witness
+   delay distribution of the paper's Figures 2/4. *)
 module Metrics = Util.Metrics
 module Tracing = Util.Tracing
 
@@ -15,17 +15,8 @@ let m_exhausted = Metrics.counter "enum.exhausted"
 let m_gave_up = Metrics.counter "enum.gave_up"
 let m_card_raises = Metrics.counter "enum.card_bound_raises"
 let m_membership_checks = Metrics.counter "enum.membership_checks"
-let m_solve_us = Metrics.histogram "enum.solve_us"
 let m_minimized_lits = Metrics.counter "enum.blocking_minimized_literals"
 let m_minimize_solves = Metrics.counter "enum.minimize_solves"
-
-(* One clock source for the per-descent delay: the histogram sample and
-   the enum.solve trace span bracket the same call, so they can't
-   disagree. *)
-let timed_solve ?assumptions solver =
-  Tracing.with_span "enum.solve" @@ fun () ->
-  Metrics.observe_span_us m_solve_us @@ fun () ->
-  Sat.Solver.solve ?assumptions solver
 
 module Set_of_sets = Set.Make (struct
   type t = Fact.Set.t
@@ -199,8 +190,8 @@ let record_member ?(want_witness = false) t solver =
     Tracing.instant "enum.member"
       ~args:
         [
-          ("support_size", Metrics.Json.Num (float_of_int (Fact.Set.cardinal member)));
-          ("blocking_literals", Metrics.Json.Num (float_of_int (List.length blocking)));
+          ("support_size", Util.Json.Num (float_of_int (Fact.Set.cardinal member)));
+          ("blocking_literals", Util.Json.Num (float_of_int (List.length blocking)));
         ];
   t.produced_list <- member :: t.produced_list;
   t.produced_set <- Set_of_sets.add member t.produced_set;
@@ -209,12 +200,11 @@ let record_member ?(want_witness = false) t solver =
 let next t =
   if t.exhausted then None
   else
-    Tracing.with_span "enum.next" @@ fun () ->
     Metrics.time m_next_time @@ fun () ->
     let solver = Encode.solver t.encoding in
     match t.card_outputs with
     | None -> (
-      match timed_solve solver with
+      match Sat.Solver.solve solver with
       | Sat.Solver.Unsat ->
         t.exhausted <- true;
         Metrics.incr m_exhausted;
@@ -231,7 +221,7 @@ let next t =
           if t.card_bound < n then [ Sat.Lit.negate outputs.(t.card_bound) ]
           else []
         in
-        match timed_solve ~assumptions solver with
+        match Sat.Solver.solve ~assumptions solver with
         | Sat.Solver.Sat -> Some (fst (record_member t solver))
         | Sat.Solver.Unsat ->
           if t.card_bound >= n then begin
@@ -251,7 +241,6 @@ let next t =
 let next_limited ~conflict_budget t =
   if t.exhausted then `Exhausted
   else
-    Tracing.with_span "enum.next" @@ fun () ->
     Metrics.time m_next_time @@ fun () ->
     let solver = Encode.solver t.encoding in
     match Sat.Solver.solve_limited ~conflict_budget solver with
@@ -296,10 +285,9 @@ let member t candidate =
 let next_with_witness t =
   if t.exhausted then None
   else
-    Tracing.with_span "enum.next" @@ fun () ->
     Metrics.time m_next_time @@ fun () ->
     let solver = Encode.solver t.encoding in
-    match timed_solve solver with
+    match Sat.Solver.solve solver with
     | Sat.Solver.Unsat ->
       t.exhausted <- true;
       Metrics.incr m_exhausted;

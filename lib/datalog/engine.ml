@@ -5,6 +5,7 @@ module Tracing = Util.Tracing
    registry is idempotent, so both engines tick the same counters and
    the observability vocabulary stays stable across the refactor. *)
 let m_seminaive_time = Metrics.timer "eval.seminaive"
+let m_round_time = Metrics.timer "eval.round"
 let m_runs = Metrics.counter "eval.seminaive.runs"
 let m_rounds = Metrics.counter "eval.rounds"
 let m_derived = Metrics.counter "eval.facts_derived"
@@ -396,15 +397,9 @@ let run_task ~model ~limits ~ranges ~direct task =
 (* Semi-naive fixpoint                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let round_span round f =
-  if not (Tracing.is_enabled ()) then f ()
-  else
-    Tracing.with_span
-      ~args:[ ("round", Metrics.Json.Num (float_of_int round)) ]
-      "eval.round" f
+let round_args round () = [ ("round", Util.Json.Num (float_of_int round)) ]
 
 let seminaive ?ranks ?(jobs = 1) ?stats program db =
-  Tracing.with_span "eval.seminaive" @@ fun () ->
   Metrics.time m_seminaive_time @@ fun () ->
   Metrics.incr m_runs;
   (* The database's facts in the order the structural engine holds its
@@ -645,7 +640,7 @@ let seminaive ?ranks ?(jobs = 1) ?stats program db =
   let empty : (Symbol.t, int * int) Hashtbl.t = Hashtbl.create 1 in
   snapshot ();
   let tasks1 = Array.map (make_task profiling) full_plans in
-  round_span 1 (fun () -> run_tasks tasks1 empty);
+  Metrics.time ~args:(round_args 1) m_round_time (fun () -> run_tasks tasks1 empty);
   Metrics.incr m_rounds;
   List.iter
     (fun (pred, col) ->
@@ -659,7 +654,7 @@ let seminaive ?ranks ?(jobs = 1) ?stats program db =
   while snd !delta > 0 do
     snapshot ();
     let tasks = Array.map (make_task profiling) delta_plans in
-    round_span !round (fun () -> run_tasks tasks (fst !delta));
+    Metrics.time ~args:(round_args !round) m_round_time (fun () -> run_tasks tasks (fst !delta));
     Metrics.incr m_rounds;
     delta := merge !round tasks;
     profile_round tasks !delta;

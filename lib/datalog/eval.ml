@@ -8,6 +8,7 @@ module Tracing = Util.Tracing
 
 let m_naive_time = Metrics.timer "eval.naive"
 let m_seminaive_time = Metrics.timer "eval.seminaive"
+let m_round_time = Metrics.timer "eval.round"
 let m_runs = Metrics.counter "eval.seminaive.runs"
 let m_rounds = Metrics.counter "eval.rounds"
 let m_derived = Metrics.counter "eval.facts_derived"
@@ -35,15 +36,9 @@ let trace_delta db =
   if Tracing.is_enabled () then
     Tracing.counter "eval.delta" [ ("facts", float_of_int (Database.size db)) ]
 
-(* Wraps one semi-naive round; the round number and resulting delta
-   size are attached to the span, so a Perfetto timeline shows which
-   round the fixpoint spent its time in. Arg allocation is guarded. *)
-let round_span round f =
-  if not (Tracing.is_enabled ()) then f ()
-  else
-    Tracing.with_span
-      ~args:[ ("round", Metrics.Json.Num (float_of_int round)) ]
-      "eval.round" f
+(* The eval.round trace event carries the round number, so a Perfetto
+   timeline shows which round the fixpoint spent its time in. *)
+let round_args round () = [ ("round", Util.Json.Num (float_of_int round)) ]
 
 let match_atom db (b : binding) (atom : Atom.t) k =
   (* Positions already fixed by constants or bound variables. *)
@@ -145,7 +140,6 @@ let fire_rule ~full ~delta ~pos rule emit =
   end
 
 let naive program db =
-  Tracing.with_span "eval.naive" @@ fun () ->
   Metrics.time m_naive_time @@ fun () ->
   let model = Database.of_list (Database.to_list db) in
   let changed = ref true in
@@ -164,7 +158,6 @@ let naive program db =
   model
 
 let seminaive_structural ?ranks program db =
-  Tracing.with_span "eval.seminaive" @@ fun () ->
   Metrics.time m_seminaive_time @@ fun () ->
   Metrics.incr m_runs;
   let model = Database.of_list (Database.to_list db) in
@@ -176,7 +169,7 @@ let seminaive_structural ?ranks program db =
   Database.iter (record 0) db;
   (* Round 1: plain evaluation of every rule over the database. *)
   let delta = ref (Database.create ()) in
-  round_span 1 (fun () ->
+  Metrics.time ~args:(round_args 1) m_round_time (fun () ->
       List.iter
         (fun rule ->
           fire_rule ~full:model ~delta:model ~pos:(-1) rule (fun fact ->
@@ -206,7 +199,7 @@ let seminaive_structural ?ranks program db =
   let round = ref 2 in
   while Database.size !delta > 0 do
     let next = Database.create () in
-    round_span !round (fun () ->
+    Metrics.time ~args:(round_args !round) m_round_time (fun () ->
         List.iter
           (fun (rule, positions) ->
             List.iter

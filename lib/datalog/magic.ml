@@ -17,7 +17,9 @@ let m_transforms = Metrics.counter "magic.transforms"
 let m_rules_in = Metrics.counter "magic.rules_in"
 let m_rules_out = Metrics.counter "magic.rules_out"
 let m_model_facts = Metrics.counter "magic.model_facts"
-let m_answers = Metrics.counter "magic.answers"
+let m_answers = Metrics.counter "magic.answer_facts"
+let m_transform_time = Metrics.timer "magic.transform"
+let m_answers_time = Metrics.timer "magic.answers"
 
 (* Adornments are strings over {'b','f'}, one character per argument. *)
 
@@ -47,7 +49,7 @@ let add_vars bound (atom : Atom.t) =
 let transform program (goal : Atom.t) =
   if not (Program.is_idb program goal.Atom.pred) then
     invalid_arg "Magic.transform: goal predicate is not intensional";
-  Util.Tracing.with_span "magic.transform" @@ fun () ->
+  Metrics.time m_transform_time @@ fun () ->
   let goal_adornment =
     String.init (Atom.arity goal) (fun i ->
         match goal.Atom.args.(i) with Term.Const _ -> 'b' | Term.Var _ -> 'f')
@@ -132,7 +134,7 @@ let transform program (goal : Atom.t) =
   }
 
 let answers t db =
-  Util.Tracing.with_span "magic.answers" @@ fun () ->
+  Metrics.time m_answers_time @@ fun () ->
   let db' = Database.of_list (t.seed :: Database.to_list db) in
   let model = Eval.seminaive t.program db' in
   (* The adorned answer relation also holds answers demanded for other

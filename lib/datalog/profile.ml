@@ -1,4 +1,4 @@
-module Json = Util.Metrics.Json
+module Json = Util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Enablement                                                          *)

@@ -144,7 +144,7 @@ val snapshot : unit -> t
 val schema_version : string
 (** ["whyprov.profile/1"], the ["schema"] field of {!to_json}. *)
 
-val to_json : ?times:bool -> t -> Util.Metrics.Json.t
+val to_json : ?times:bool -> t -> Util.Json.t
 (** The versioned JSON document (docs/OBSERVABILITY.md). With
     [~times:false] the [time_s] fields are omitted — every remaining
     field is deterministic and independent of [jobs]. *)
@@ -197,5 +197,5 @@ val audit : est:Stats.t -> actual:Stats.t -> Program.t -> t -> audit
     do not correspond to a rule of [program] (stale ids from another
     program) are skipped. *)
 
-val audit_to_json : audit -> Util.Metrics.Json.t
+val audit_to_json : audit -> Util.Json.t
 val pp_audit : Format.formatter -> audit -> unit

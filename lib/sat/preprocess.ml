@@ -5,7 +5,6 @@ module Vec = Util.Vec
    technique hits across runs, and the two histograms record per-run
    round counts and reconstruction-stack depths. *)
 module Metrics = Util.Metrics
-module Tracing = Util.Tracing
 
 let m_time = Metrics.timer "preprocess.simplify"
 let m_runs = Metrics.counter "preprocess.runs"
@@ -717,7 +716,6 @@ let bve_pass t =
 (* --- Driver ------------------------------------------------------------ *)
 
 let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
-  Tracing.with_span "preprocess.simplify" @@ fun () ->
   Metrics.time m_time @@ fun () ->
   Metrics.incr m_runs;
   let t =

@@ -871,7 +871,6 @@ let search t assumptions budget =
 exception Out_of_budget
 
 let solve_aux ?(assumptions = []) ?conflict_budget t =
-  Tracing.with_span "sat.solve" @@ fun () ->
   Metrics.time m_solve_time @@ fun () ->
   Metrics.incr m_solve_calls;
   (* Arm the progress checkpoint for this call: a positive stride when

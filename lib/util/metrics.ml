@@ -1,11 +1,13 @@
 (* Pipeline-wide observability: monotonic counters, wall-clock stage
    timers with nesting, power-of-two histograms, and a global registry
-   with reset/snapshot and human/JSON renderers.
+   with reset/snapshot and human/JSON renderers. [time] is the one span
+   primitive: it feeds the timer and, when tracing is on, [Tracing].
 
    Design constraints (see docs/OBSERVABILITY.md for the schema):
 
    - Zero cost when disabled: every recording entry point checks a
-     single [enabled] flag before touching the clock or allocating.
+     single [enabled] flag ([time]: this one and the tracing flag)
+     before touching the clock or allocating.
      Handle creation ([counter] / [histogram]) is allowed while
      disabled — it is a one-time registry insertion at module load.
    - Domain-safe recording: the batch enumerator fans per-tuple work
@@ -15,256 +17,9 @@
      process-wide mutex (records are rare next to counter bumps), and
      timer span nesting lives in domain-local storage so spans on one
      domain never parent spans on another.
-   - No dependencies beyond [Unix.gettimeofday]; JSON is rendered and
-     parsed by the tiny [Json] module below so that snapshots can be
-     round-tripped in tests and validated by tooling without pulling a
-     JSON library into the build. *)
-
-(* --- Minimal JSON ------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let number_to_string f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else
-      (* %.17g round-trips every finite IEEE double exactly. *)
-      Printf.sprintf "%.17g" f
-
-  let rec write buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> Buffer.add_string buf (number_to_string f)
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-    | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          write buf item)
-        items;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
-          write buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-  let to_string t =
-    let buf = Buffer.create 1024 in
-    write buf t;
-    Buffer.contents buf
-
-  exception Parse_error of string
-
-  (* Recursive-descent parser over a string; supports exactly the
-     constructs [write] emits (plus whitespace and escape sequences). *)
-  let parse src =
-    let n = String.length src in
-    let pos = ref 0 in
-    let error msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some src.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match src.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> error (Printf.sprintf "expected %C" c)
-    in
-    let literal word value =
-      if !pos + String.length word <= n && String.sub src !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        value
-      end
-      else error (Printf.sprintf "expected %s" word)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then error "unterminated string"
-        else begin
-          let c = src.[!pos] in
-          advance ();
-          match c with
-          | '"' -> Buffer.contents buf
-          | '\\' -> (
-            if !pos >= n then error "unterminated escape";
-            let e = src.[!pos] in
-            advance ();
-            match e with
-            | '"' -> Buffer.add_char buf '"'; loop ()
-            | '\\' -> Buffer.add_char buf '\\'; loop ()
-            | '/' -> Buffer.add_char buf '/'; loop ()
-            | 'n' -> Buffer.add_char buf '\n'; loop ()
-            | 'r' -> Buffer.add_char buf '\r'; loop ()
-            | 't' -> Buffer.add_char buf '\t'; loop ()
-            | 'b' -> Buffer.add_char buf '\b'; loop ()
-            | 'f' -> Buffer.add_char buf '\012'; loop ()
-            | 'u' ->
-              if !pos + 4 > n then error "truncated \\u escape";
-              let hex = String.sub src !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> error "bad \\u escape"
-              in
-              (* Snapshots only ever contain ASCII; decode the BMP
-                 code point as UTF-8 for completeness. *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              loop ()
-            | _ -> error "unknown escape")
-          | c -> Buffer.add_char buf c; loop ()
-        end
-      in
-      loop ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char src.[!pos] do
-        advance ()
-      done;
-      if !pos = start then error "expected number";
-      match float_of_string_opt (String.sub src start (!pos - start)) with
-      | Some f -> f
-      | None -> error "malformed number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> error "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              fields ((key, value) :: acc)
-            | Some '}' ->
-              advance ();
-              List.rev ((key, value) :: acc)
-            | _ -> error "expected ',' or '}'"
-          in
-          Obj (fields [])
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              items (value :: acc)
-            | Some ']' ->
-              advance ();
-              List.rev (value :: acc)
-            | _ -> error "expected ',' or ']'"
-          in
-          List (items [])
-        end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then error "trailing characters";
-    v
-
-  let rec equal a b =
-    match a, b with
-    | Null, Null -> true
-    | Bool x, Bool y -> x = y
-    | Num x, Num y -> x = y
-    | Str x, Str y -> String.equal x y
-    | List xs, List ys ->
-      List.length xs = List.length ys && List.for_all2 equal xs ys
-    | Obj xs, Obj ys ->
-      List.length xs = List.length ys
-      && List.for_all2
-           (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2)
-           xs ys
-    | _ -> false
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-end
+   - No dependencies beyond [Unix], [Tracing] and the tiny [Json]
+     module: snapshots round-trip in tests and validate in tooling
+     without a JSON library in the build. *)
 
 (* --- Metric kinds ------------------------------------------------------ *)
 
@@ -273,18 +28,19 @@ type counter = {
   c_value : int Atomic.t;
 }
 
+(* Power-of-two buckets: bucket [i] counts observations with
+   value <= 2^i (bucket 0 also catches v <= 1, including non-positive
+   observations). 63 buckets cover the whole non-negative int range. *)
+let histogram_buckets = 63
+
 type timer = {
   t_name : string;
   mutable t_count : int;
   mutable t_total : float;   (* inclusive wall seconds *)
   mutable t_self : float;    (* total minus time spent in nested spans *)
   mutable t_max : float;     (* longest single span *)
+  t_buckets : int array;     (* span durations in µs, power-of-two buckets *)
 }
-
-(* Power-of-two buckets: bucket [i] counts observations with
-   value <= 2^i (bucket 0 also catches v <= 1, including non-positive
-   observations). 63 buckets cover the whole non-negative int range. *)
-let histogram_buckets = 63
 
 type histogram = {
   h_name : string;
@@ -340,7 +96,15 @@ let counter name =
 let timer name =
   match
     register name
-      (Timer { t_name = name; t_count = 0; t_total = 0.0; t_self = 0.0; t_max = 0.0 })
+      (Timer
+         {
+           t_name = name;
+           t_count = 0;
+           t_total = 0.0;
+           t_self = 0.0;
+           t_max = 0.0;
+           t_buckets = Array.make histogram_buckets 0;
+         })
   with
   | Timer t -> t
   | _ -> invalid_arg (Printf.sprintf "Metrics.timer: %s is not a timer" name)
@@ -389,18 +153,6 @@ let observe h v =
 
 let observe_int h v = observe h (float_of_int v)
 
-let observe_span_us h f =
-  (* Wall-clock a thunk into a histogram, in microseconds. The shared
-     replacement for hand-rolled [Unix.gettimeofday] bracketing: one
-     clock source, exception-safe, free when recording is disabled. *)
-  if not (Atomic.get enabled) then f ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () -> observe h ((Unix.gettimeofday () -. t0) *. 1e6))
-      f
-  end
-
 (* Timer spans nest through an explicit stack; each frame accumulates
    the inclusive time of its direct children so that the parent's
    self-time can be computed on [stop]. Exceptions unwind the stack via
@@ -408,43 +160,46 @@ let observe_span_us h f =
    exhaustion, …) still records its span. The stack is domain-local:
    spans running on a worker domain nest among themselves and never
    under a span of another domain. *)
-type frame = {
-  f_timer : timer;
-  f_start : float;
-  mutable f_children : float;
-}
+type frame = { mutable f_children : float }
 
 let span_stack_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let time t f =
-  if not (Atomic.get enabled) then f ()
+let record_span t span_stack frame elapsed =
+  (* Children always pop themselves ([Fun.protect]), so the frame is on
+     top unless [reset] dropped the stack mid-span. *)
+  (match !span_stack with
+  | top :: rest when top == frame -> span_stack := rest
+  | _ -> ());
+  let bucket = bucket_of (elapsed *. 1e6) in
+  (locked @@ fun () ->
+   t.t_count <- t.t_count + 1;
+   t.t_total <- t.t_total +. elapsed;
+   t.t_self <- t.t_self +. Float.max 0.0 (elapsed -. frame.f_children);
+   if elapsed > t.t_max then t.t_max <- elapsed;
+   t.t_buckets.(bucket) <- t.t_buckets.(bucket) + 1);
+  match !span_stack with
+  | parent :: _ -> parent.f_children <- parent.f_children +. elapsed
+  | [] -> ()
+
+(* The flags are sampled once at the start, so a span that began in a
+   sink always ends in it. *)
+let time ?args t f =
+  let metrics = Atomic.get enabled and tracing = Tracing.is_enabled () in
+  if not (metrics || tracing) then f ()
   else begin
-    let span_stack = Domain.DLS.get span_stack_key in
-    let frame = { f_timer = t; f_start = Unix.gettimeofday (); f_children = 0.0 } in
-    span_stack := frame :: !span_stack;
+    let start = Unix.gettimeofday () in
+    if tracing then
+      Tracing.begin_span ~at:start
+        (match args with Some args -> args () | None -> [])
+        t.t_name;
+    let frame = { f_children = 0.0 } and span_stack = Domain.DLS.get span_stack_key in
+    if metrics then span_stack := frame :: !span_stack;
     Fun.protect
       ~finally:(fun () ->
-        let elapsed = Unix.gettimeofday () -. frame.f_start in
-        (match !span_stack with
-        | top :: rest when top == frame -> span_stack := rest
-        | _ ->
-          (* A nested span escaped (toggled [enabled] mid-flight?):
-             drop frames down to ours rather than corrupting totals. *)
-          let rec unwind = function
-            | top :: rest when top == frame -> rest
-            | _ :: rest -> unwind rest
-            | [] -> []
-          in
-          span_stack := unwind !span_stack);
-        (locked @@ fun () ->
-         t.t_count <- t.t_count + 1;
-         t.t_total <- t.t_total +. elapsed;
-         t.t_self <- t.t_self +. Float.max 0.0 (elapsed -. frame.f_children);
-         if elapsed > t.t_max then t.t_max <- elapsed);
-        match !span_stack with
-        | parent :: _ -> parent.f_children <- parent.f_children +. elapsed
-        | [] -> ())
+        let stop = Unix.gettimeofday () in
+        if tracing then Tracing.end_span ~at:stop t.t_name;
+        if metrics then record_span t span_stack frame (stop -. start))
       f
   end
 
@@ -461,7 +216,8 @@ let reset () =
         t.t_count <- 0;
         t.t_total <- 0.0;
         t.t_self <- 0.0;
-        t.t_max <- 0.0
+        t.t_max <- 0.0;
+        Array.fill t.t_buckets 0 histogram_buckets 0
       | Histogram h ->
         Array.fill h.buckets 0 histogram_buckets 0;
         h.h_count <- 0;
@@ -472,7 +228,13 @@ let reset () =
 
 type snapshot_entry =
   | Counter_value of int
-  | Timer_value of { count : int; total : float; self : float; max : float }
+  | Timer_value of {
+      count : int;
+      total : float;
+      self : float;
+      max : float;
+      buckets : (float * int) list; (* span durations in µs, as below *)
+    }
   | Histogram_value of {
       count : int;
       sum : float;
@@ -490,6 +252,14 @@ let live metric =
   | Timer t -> t.t_count <> 0
   | Histogram h -> h.h_count <> 0
 
+let sparse_buckets counts =
+  let buckets = ref [] in
+  for i = histogram_buckets - 1 downto 0 do
+    if counts.(i) > 0 then
+      buckets := (Float.pow 2.0 (float_of_int i), counts.(i)) :: !buckets
+  done;
+  !buckets
+
 let snapshot () =
   locked @@ fun () ->
   Hashtbl.fold
@@ -501,20 +271,21 @@ let snapshot () =
           | Counter c -> Counter_value (Atomic.get c.c_value)
           | Timer t ->
             Timer_value
-              { count = t.t_count; total = t.t_total; self = t.t_self; max = t.t_max }
+              {
+                count = t.t_count;
+                total = t.t_total;
+                self = t.t_self;
+                max = t.t_max;
+                buckets = sparse_buckets t.t_buckets;
+              }
           | Histogram h ->
-            let buckets = ref [] in
-            for i = histogram_buckets - 1 downto 0 do
-              if h.buckets.(i) > 0 then
-                buckets := (Float.pow 2.0 (float_of_int i), h.buckets.(i)) :: !buckets
-            done;
             Histogram_value
               {
                 count = h.h_count;
                 sum = h.h_sum;
                 min = h.h_min;
                 max = h.h_max;
-                buckets = !buckets;
+                buckets = sparse_buckets h.buckets;
               }
         in
         (name, entry) :: acc)
@@ -531,14 +302,9 @@ let get_timer_count name =
   | Some (Timer t) -> t.t_count
   | _ -> 0
 
-let get_histogram_count name =
-  match locked (fun () -> Hashtbl.find_opt registry name) with
-  | Some (Histogram h) -> h.h_count
-  | _ -> 0
-
 (* --- Renderers --------------------------------------------------------- *)
 
-let schema_version = "whyprov.metrics/1"
+let schema_version = "whyprov.metrics/2"
 
 (* Percentile over sparse power-of-two buckets: the inclusive upper
    bound of the first bucket whose cumulative count reaches rank
@@ -565,7 +331,8 @@ let snapshot_to_json () =
     (fun (name, entry) ->
       match entry with
       | Counter_value v -> counters := (name, Json.Num (float_of_int v)) :: !counters
-      | Timer_value { count; total; self; max } ->
+      | Timer_value { count; total; self; max; buckets } ->
+        let quantile_s q = Json.Num (percentile_of_buckets buckets q *. 1e-6) in
         timers :=
           ( name,
             Json.Obj
@@ -574,6 +341,9 @@ let snapshot_to_json () =
                 ("total_s", Json.Num total);
                 ("self_s", Json.Num self);
                 ("max_s", Json.Num max);
+                ("p50_s", quantile_s 0.50);
+                ("p90_s", quantile_s 0.90);
+                ("p99_s", quantile_s 0.99);
               ] )
           :: !timers
       | Histogram_value { count; sum; min; max; buckets } ->
@@ -621,11 +391,12 @@ let pp ppf () =
       (fun (name, entry) ->
         match entry with
         | Counter_value v -> Format.fprintf ppf "%-40s %12d@." name v
-        | Timer_value { count; total; self; max } ->
-          Format.fprintf ppf "%-40s %12s  (self %s, max %s, %d span%s)@." name
-            (Format.asprintf "%a" pp_duration total)
-            (Format.asprintf "%a" pp_duration self)
-            (Format.asprintf "%a" pp_duration max)
+        | Timer_value { count; total; self; max; buckets } ->
+          let dur = Format.asprintf "%a" pp_duration in
+          Format.fprintf ppf "%-40s %12s  (self %s, max %s, p50<=%s p99<=%s, %d span%s)@."
+            name (dur total) (dur self) (dur max)
+            (dur (percentile_of_buckets buckets 0.50 *. 1e-6))
+            (dur (percentile_of_buckets buckets 0.99 *. 1e-6))
             count
             (if count = 1 then "" else "s")
         | Histogram_value { count; sum; min; max; buckets } ->

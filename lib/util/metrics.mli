@@ -2,6 +2,11 @@
     timers, power-of-two histograms, and a global registry with
     reset/snapshot and human/JSON renderers.
 
+    {!time} is the one way to mark a region of the pipeline: the same
+    span feeds its timer (count, total, self, max, duration quantiles)
+    and, when {!Tracing} is recording, a begin/end event pair under the
+    timer's name — so [--stats] and [--trace] name the same regions.
+
     Every pipeline layer registers its instruments at module load and
     records into them unconditionally; recording is a no-op (a single
     flag check, no clock reads, no allocation) until {!set_enabled} is
@@ -20,40 +25,11 @@
     from a single coordinating domain while no other domain is
     mid-span. *)
 
-(** Minimal JSON values: exactly what snapshots need, plus a parser so
-    that dumps can be validated and round-tripped without an external
-    JSON dependency. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-
-  exception Parse_error of string
-
-  val parse : string -> t
-  (** Parses a JSON document. @raise Parse_error on malformed input. *)
-
-  val equal : t -> t -> bool
-  (** Structural equality (object field order is significant). *)
-
-  val member : string -> t -> t option
-  (** [member key (Obj fields)] looks up [key]; [None] on non-objects. *)
-
-  val escape : string -> string
-  (** JSON string-body escaping (no surrounding quotes). *)
-end
-
 (** {1 Enablement} *)
 
 val set_enabled : bool -> unit
-(** Recording is disabled by default. Toggling mid-span is not
-    supported (spans started while enabled must stop while enabled). *)
+(** Recording is disabled by default. A {!time} span samples the flag
+    when it starts, so one that started enabled is recorded in full. *)
 
 val is_enabled : unit -> bool
 (** Guard for instrumentation whose mere preparation would allocate
@@ -77,11 +53,14 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 
-val time : timer -> (unit -> 'a) -> 'a
-(** [time t f] runs [f] inside a span of [t]: its inclusive wall time
-    accrues to [t]'s total, and is subtracted from the self-time of the
-    enclosing span, if any. Exception-safe: a raising [f] still records
-    its span. When disabled this is exactly [f ()]. *)
+val time : ?args:(unit -> (string * Json.t) list) -> timer -> (unit -> 'a) -> 'a
+(** [time t f] runs [f] inside a span of [t], reading the clock once
+    per edge. Metrics on: the inclusive wall time accrues to [t]'s total
+    and µs duration histogram, and is subtracted from the self-time of
+    the enclosing span of the same domain, if any. Tracing on: a
+    begin/end pair named after [t], with [args ()] (evaluated only then)
+    on the begin event. Exception-safe: a raising [f] still records its
+    span. With both off this is exactly [f ()]. *)
 
 val observe : histogram -> float -> unit
 (** Buckets are powers of two: observation [v] lands in the first
@@ -90,13 +69,6 @@ val observe : histogram -> float -> unit
 
 val observe_int : histogram -> int -> unit
 
-val observe_span_us : histogram -> (unit -> 'a) -> 'a
-(** [observe_span_us h f] runs [f] and records its wall-clock duration
-    in microseconds into [h]. Exception-safe; exactly [f ()] when
-    recording is disabled. Unlike {!time} this does not participate in
-    span nesting — use it for histogram-valued durations such as
-    [enum.solve_us]. *)
-
 (** {1 Registry} *)
 
 val reset : unit -> unit
@@ -104,7 +76,14 @@ val reset : unit -> unit
 
 type snapshot_entry =
   | Counter_value of int
-  | Timer_value of { count : int; total : float; self : float; max : float }
+  | Timer_value of {
+      count : int;
+      total : float;
+      self : float;
+      max : float;
+      buckets : (float * int) list;
+          (** span durations in µs, bucketed as in {!Histogram_value} *)
+    }
   | Histogram_value of {
       count : int;
       sum : float;
@@ -121,7 +100,6 @@ val get_counter : string -> int
 (** Current value by name; [0] if absent or not a counter. *)
 
 val get_timer_count : string -> int
-val get_histogram_count : string -> int
 
 (** {1 Renderers} *)
 
@@ -134,7 +112,9 @@ val percentile_of_buckets : (float * int) list -> float -> float
     and [q] in [\[0, 1\]]: the upper bound of the first bucket whose
     cumulative count reaches rank [ceil (q * total)] — an upper bound
     on the [q]-quantile, not an interpolation. [0.] on empty data.
-    JSON snapshots embed [p50]/[p90]/[p99] computed this way. *)
+    JSON snapshots embed [p50]/[p90]/[p99] computed this way on every
+    histogram, and [p50_s]/[p90_s]/[p99_s] (µs buckets, in seconds) on
+    every timer. *)
 
 val snapshot_to_json : unit -> Json.t
 (** The snapshot as [{schema; counters; timers; histograms}] — see

@@ -1,8 +1,6 @@
 (* Per-domain ring buffers of trace events, flushed to Chrome
-   trace-event JSON or JSONL. See tracing.mli for the contract and
-   docs/OBSERVABILITY.md for the schemas. *)
-
-module Json = Metrics.Json
+   trace-event JSON. See tracing.mli for the contract and
+   docs/OBSERVABILITY.md for the schema. *)
 
 type phase =
   | Begin
@@ -47,8 +45,6 @@ let set_capacity n = Atomic.set capacity (max 16 n)
    under a microsecond. *)
 let epoch = Unix.gettimeofday ()
 
-let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
-
 let registry_lock = Mutex.create ()
 let registry : buffer list ref = ref []
 
@@ -83,26 +79,21 @@ let push b ev =
     b.dropped <- b.dropped + 1
   end
 
-let record phase name args =
+(* [at] is a [Unix.gettimeofday] reading: span edges pass the one
+   their timer read, so the trace and the timer see the same clock. *)
+let record ?(at = Unix.gettimeofday ()) phase name args =
   let b = Domain.DLS.get buffer_key in
   (* Clamp to the buffer's last timestamp: per-domain streams are
      non-decreasing even if the wall clock steps backwards. *)
-  let ts = now_us () in
+  let ts = (at -. epoch) *. 1e6 in
   let ts = if ts < b.last_ts then b.last_ts else ts in
   b.last_ts <- ts;
   push b { ts_us = ts; tid = b.b_tid; phase; name; args }
 
-let begin_span ?(args = []) name =
-  if Atomic.get enabled then record Begin name args
-
-let end_span name = if Atomic.get enabled then record End name []
-
-let with_span ?(args = []) name f =
-  if not (Atomic.get enabled) then f ()
-  else begin
-    record Begin name args;
-    Fun.protect ~finally:(fun () -> end_span name) f
-  end
+(* Hooks for [Metrics.time], which has already checked [is_enabled]:
+   they record unconditionally, so a span that began always ends. *)
+let begin_span ~at args name = record ~at Begin name args
+let end_span ~at name = record ~at End name []
 
 let instant ?(args = []) name =
   if Atomic.get enabled then record Instant name args
@@ -237,21 +228,3 @@ let to_chrome_string () = Json.to_string (to_chrome_json ())
 let write_chrome oc =
   output_string oc (to_chrome_string ());
   output_char oc '\n'
-
-let write_jsonl oc =
-  List.iter
-    (fun ev ->
-      let fields =
-        [
-          ("ts_us", Json.Num ev.ts_us);
-          ("tid", Json.Num (float_of_int ev.tid));
-          ("ph", Json.Str (phase_string ev.phase));
-          ("name", Json.Str ev.name);
-        ]
-      in
-      let fields =
-        match ev.args with [] -> fields | args -> fields @ [ ("args", Json.Obj args) ]
-      in
-      output_string oc (Json.to_string (Json.Obj fields));
-      output_char oc '\n')
-    (balanced_events ())

@@ -1,19 +1,22 @@
 (** Structured event tracing: begin/end spans, instant events and
     counter samples recorded into per-domain ring buffers, exported as
-    Chrome trace-event JSON ([chrome://tracing] / Perfetto) and as a
-    human-readable JSONL stream.
+    Chrome trace-event JSON ([chrome://tracing] / Perfetto).
 
     Where {!Metrics} answers "how much, in aggregate", this layer
     answers "what happened when": the timeline of semi-naive rounds,
     closure constructions, encoding phases, per-model solver descents
     and per-tuple batch tasks, with OCaml domains mapped to trace
-    [tid]s. The event vocabulary and the JSON schemas are documented in
-    [docs/OBSERVABILITY.md]; recording is driven by [whyprov --trace],
-    [satsolve --trace] and the bench harness's [--trace-out].
+    [tid]s. Spans are not opened here: [Metrics.time] is the one
+    span primitive, and it calls {!begin_span}/{!end_span} under its
+    timer's name. The span vocabulary and the JSON schema are
+    documented in [docs/OBSERVABILITY.md]; recording is driven by
+    [whyprov --trace], [satsolve --trace] and the bench harness's
+    [--trace-out].
 
-    {b Cost.} Recording is disabled by default; every entry point is a
-    single atomic-flag check before touching the clock or allocating
-    (verified by the [tracing:*] kernels in [bench/micro.ml]). Enabled,
+    {b Cost.} Recording is disabled by default; every entry point but
+    the span hooks is a single atomic-flag check before touching the
+    clock or allocating (verified by the [tracing:*] kernels in
+    [bench/micro.ml]). Enabled,
     an event is one cell write into the recording domain's own ring
     buffer — no locks, no I/O.
 
@@ -37,8 +40,8 @@
 (** {1 Enablement} *)
 
 val set_enabled : bool -> unit
-(** Off by default. Toggling while worker domains are mid-span leaves
-    their open spans to be closed synthetically by the exporters. *)
+(** Off by default. A [Metrics.time] span samples the flag when it
+    opens, so toggling mid-span still records whole begin/end pairs. *)
 
 val is_enabled : unit -> bool
 (** Guard for call sites whose argument preparation would allocate
@@ -54,23 +57,21 @@ val reset : unit -> unit
 
 (** {1 Recording}
 
-    [args] are attached to the event verbatim ([Metrics.Json] values,
-    rendered into the Chrome event's ["args"] object). Building args
-    allocates even when disabled — guard expensive ones with
-    {!is_enabled}. *)
+    [args] are attached to the event verbatim ([Json] values, rendered
+    into the Chrome event's ["args"] object). Building args allocates
+    even when disabled — guard expensive ones with {!is_enabled}. *)
 
-val with_span : ?args:(string * Metrics.Json.t) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] brackets [f] in a begin/end pair on the calling
-    domain. Exception-safe: a raising [f] still closes the span. When
-    disabled this is exactly [f ()]. *)
+val begin_span : at:float -> (string * Json.t) list -> string -> unit
+(** The hook [Metrics.time] calls to open a span: [at] is the
+    [Unix.gettimeofday] reading its timer took for the same edge.
+    Records without checking {!is_enabled} — the caller did. *)
 
-val begin_span : ?args:(string * Metrics.Json.t) list -> string -> unit
-
-val end_span : string -> unit
+val end_span : at:float -> string -> unit
 (** Closes the most recent open span of the calling domain (Chrome
-    "E" semantics; the name is informational). *)
+    "E" semantics; the name is informational). Unchecked, like
+    {!begin_span}. *)
 
-val instant : ?args:(string * Metrics.Json.t) list -> string -> unit
+val instant : ?args:(string * Json.t) list -> string -> unit
 (** A point-in-time marker (Chrome phase ["i"], thread scope). *)
 
 val counter : string -> (string * float) list -> unit
@@ -91,7 +92,7 @@ type event = {
   tid : int;      (** OCaml domain id of the recording domain *)
   phase : phase;
   name : string;
-  args : (string * Metrics.Json.t) list;
+  args : (string * Json.t) list;
 }
 
 val events : unit -> event list
@@ -103,19 +104,12 @@ val dropped_events : unit -> int
 
 (** {1 Export}
 
-    Schemas in [docs/OBSERVABILITY.md] ("Structured event tracing"). *)
+    Schema in [docs/OBSERVABILITY.md] ("Structured event tracing"). *)
 
-val to_chrome_json : unit -> Metrics.Json.t
+val to_chrome_string : unit -> string
 (** The Chrome trace-event document:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}] with one
     metadata event naming the process and each domain's thread, and
     begin/end pairs re-balanced per [tid]. *)
 
-val to_chrome_string : unit -> string
-
 val write_chrome : out_channel -> unit
-
-val write_jsonl : out_channel -> unit
-(** One event per line:
-    [{"ts_us":…,"tid":…,"ph":"B|E|i|C","name":…,"args":{…}}] in global
-    timestamp order — greppable, diffable, no viewer needed. *)

@@ -7,7 +7,7 @@
    the document must also embed an audit section whose predicate rows
    all have q-error >= 1. *)
 
-module Json = Util.Metrics.Json
+module Json = Util.Json
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 

@@ -1,11 +1,11 @@
 (* Validates a `whyprov --stats-out FILE` dump: the file must parse as
-   JSON, carry the documented schema version, and contain at least one
-   counter from every pipeline layer (the ISSUE acceptance criterion;
-   see docs/OBSERVABILITY.md). Layers to require may be given as extra
-   arguments after the file (default: the classic five-stage pipeline);
-   the batch smoke test adds "batch". *)
+   JSON, carry the documented schema version, give every timer its
+   duration quantiles, and contain at least one counter from every
+   pipeline layer (see docs/OBSERVABILITY.md). Layers to require may be
+   given as extra arguments after the file (default: the classic
+   five-stage pipeline); the batch smoke test adds "batch". *)
 
-module Json = Util.Metrics.Json
+module Json = Util.Json
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
@@ -26,6 +26,18 @@ let () =
   (match Json.member "schema" json with
   | Some (Json.Str v) when v = Util.Metrics.schema_version -> ()
   | _ -> fail "%s: missing or wrong schema version" path);
+  (match Json.member "timers" json with
+  | Some (Json.Obj timers) ->
+    List.iter
+      (fun (name, timer) ->
+        List.iter
+          (fun q ->
+            match Json.member q timer with
+            | Some (Json.Num _) -> ()
+            | _ -> fail "%s: timer %s has no numeric %s" path name q)
+          [ "p50_s"; "p90_s"; "p99_s" ])
+      timers
+  | _ -> fail "%s: no timers section" path);
   let counters =
     match Json.member "counters" json with
     | Some (Json.Obj fields) -> List.map fst fields

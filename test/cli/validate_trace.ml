@@ -7,7 +7,7 @@
    one event must match each (the explain smoke requires the pipeline
    spans, the batch smoke adds "batch.task"). *)
 
-module Json = Util.Metrics.Json
+module Json = Util.Json
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 

@@ -1,21 +1,28 @@
 (* Tests for the observability layer (Util.Metrics): counter/timer/
-   histogram semantics, span nesting, reset, the JSON renderer and
+   histogram semantics, span nesting and duration quantiles, the two
+   sinks of [M.time] switched on and off, reset, the JSON renderer and
    parser, and a pipeline smoke test asserting that a full whyprov run
-   touches at least one metric in every layer (docs/OBSERVABILITY.md). *)
+   touches at least one metric in every layer and that its timers and
+   trace spans name the same regions (docs/OBSERVABILITY.md). *)
 
 module M = Util.Metrics
+module T = Util.Tracing
+module J = Util.Json
 module D = Datalog
 module P = Provenance
 
-(* Every test runs with a clean, enabled registry and leaves the
-   registry disabled and zeroed, so test order never matters. *)
+(* Every test runs with a clean, enabled registry and an empty trace,
+   and leaves both disabled and zeroed, so test order never matters. *)
 let with_metrics f () =
   M.reset ();
+  T.reset ();
   M.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       M.set_enabled false;
-      M.reset ())
+      T.set_enabled false;
+      M.reset ();
+      T.reset ())
     f
 
 (* --- Counters ----------------------------------------------------------- *)
@@ -31,20 +38,40 @@ let test_counter_basics () =
   M.incr c';
   Alcotest.(check int) "creation is idempotent" 6 (M.counter_value c)
 
+(* Every on/off combination of the two sinks of [M.time]: a sink that
+   is off records nothing, while [f] runs exactly once per span and its
+   exception propagates whatever the combination. *)
 let test_disabled_is_noop () =
-  let c = M.counter "test.disabled" in
-  M.set_enabled false;
-  M.incr c;
-  M.add c 10;
-  M.observe_int (M.histogram "test.disabled.hist") 5;
-  let r = M.time (M.timer "test.disabled.timer") (fun () -> 17) in
-  M.set_enabled true;
-  Alcotest.(check int) "time still runs f" 17 r;
-  Alcotest.(check int) "counter untouched" 0 (M.counter_value c);
-  Alcotest.(check int) "timer untouched" 0
-    (M.get_timer_count "test.disabled.timer");
-  Alcotest.(check int) "histogram untouched" 0
-    (M.get_histogram_count "test.disabled.hist")
+  let c = M.counter "test.disabled" and t = M.timer "test.disabled.timer" in
+  List.iter
+    (fun (metrics, tracing) ->
+      M.reset ();
+      T.reset ();
+      M.set_enabled metrics;
+      T.set_enabled tracing;
+      let runs = ref 0 in
+      M.add c 10;
+      M.observe_int (M.histogram "test.disabled.hist") 5;
+      let r = M.time t (fun () -> incr runs; 17) in
+      (match M.time t (fun () -> incr runs; failwith "boom") with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "exception must propagate");
+      T.set_enabled false;
+      let check what expected actual =
+        Alcotest.(check int)
+          (Printf.sprintf "metrics %b, tracing %b: %s" metrics tracing what)
+          expected actual
+      and on flag n = if flag then n else 0 in
+      check "f runs once per span" 2 !runs;
+      check "time returns f's value" 17 r;
+      check "counter" (on metrics 10) (M.counter_value c);
+      check "timer" (on metrics 2) (M.get_timer_count "test.disabled.timer");
+      check "histogram" (on metrics 1)
+        (match List.assoc_opt "test.disabled.hist" (M.snapshot ()) with
+        | Some (M.Histogram_value h) -> h.count
+        | _ -> 0);
+      check "trace events" (on tracing 4) (List.length (T.events ())))
+    [ (false, false); (true, false); (false, true); (true, true) ]
 
 let test_kind_clash () =
   let _ = M.counter "test.clash" in
@@ -56,8 +83,15 @@ let test_kind_clash () =
 
 let find_timer name =
   match List.assoc_opt name (M.snapshot ()) with
-  | Some (M.Timer_value { count; total; self; max }) -> (count, total, self, max)
+  | Some (M.Timer_value { count; total; self; max; buckets }) ->
+    (count, total, self, max, buckets)
   | _ -> Alcotest.fail (name ^ " missing from snapshot")
+
+let json_timer_field name field =
+  let ( >>= ) = Option.bind in
+  match J.member "timers" (M.snapshot_to_json ()) >>= J.member name >>= J.member field with
+  | Some (J.Num v) -> v
+  | _ -> Alcotest.failf "timer %s has no numeric %s" name field
 
 let test_timer_nesting () =
   let outer = M.timer "test.outer" and inner = M.timer "test.inner" in
@@ -70,14 +104,28 @@ let test_timer_nesting () =
       spin ();
       M.time inner spin;
       M.time inner spin);
-  let o_count, o_total, o_self, _ = find_timer "test.outer" in
-  let i_count, i_total, _, i_max = find_timer "test.inner" in
+  let o_count, o_total, o_self, _, _ = find_timer "test.outer" in
+  let i_count, i_total, _, i_max, i_buckets = find_timer "test.inner" in
   Alcotest.(check int) "outer spans" 1 o_count;
   Alcotest.(check int) "inner spans" 2 i_count;
   Alcotest.(check bool) "outer total covers inner" true (o_total >= i_total);
   Alcotest.(check bool) "inner time excluded from outer self" true
     (o_self <= o_total -. i_total +. 1e-4);
-  Alcotest.(check bool) "max <= total" true (i_max <= i_total +. 1e-9)
+  Alcotest.(check bool) "max <= total" true (i_max <= i_total +. 1e-9);
+  (* Span durations land in power-of-two µs buckets; the JSON quantiles
+     are their upper bounds, in seconds. *)
+  Alcotest.(check int) "one bucket entry per span" 2
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 i_buckets);
+  List.iter
+    (fun (field, q) ->
+      let v = json_timer_field "test.inner" field in
+      Alcotest.(check (float 1e-12)) ("json " ^ field)
+        (M.percentile_of_buckets i_buckets q *. 1e-6)
+        v;
+      Alcotest.(check bool) (field ^ " bounds a 2 ms span") true (v >= 0.002))
+    [ ("p50_s", 0.50); ("p99_s", 0.99) ];
+  Alcotest.(check bool) "p99_s bounds the longest span" true
+    (json_timer_field "test.inner" "p99_s" >= i_max -. 1e-9)
 
 let test_timer_exception_safe () =
   let t = M.timer "test.raises" in
@@ -135,14 +183,14 @@ let test_histogram_percentiles () =
   (* And the JSON snapshot embeds the three quantiles. *)
   let h = M.histogram "test.pct" in
   List.iter (M.observe_int h) [ 1; 1; 1; 1; 1; 1; 1; 1; 1; 100 ];
-  let json = M.Json.parse (M.to_json_string ()) in
-  match M.Json.member "histograms" json with
-  | Some (M.Json.Obj hists) -> (
+  let json = J.parse (M.to_json_string ()) in
+  match J.member "histograms" json with
+  | Some (J.Obj hists) -> (
     match List.assoc_opt "test.pct" hists with
     | Some hist ->
       let quantile name =
-        match M.Json.member name hist with
-        | Some (M.Json.Num v) -> v
+        match J.member name hist with
+        | Some (J.Num v) -> v
         | _ -> Alcotest.failf "histogram JSON missing %s" name
       in
       Alcotest.(check (float 1e-9)) "json p50" 1.0 (quantile "p50");
@@ -173,7 +221,7 @@ let test_reset_and_omission () =
 (* --- JSON --------------------------------------------------------------- *)
 
 let test_json_parse () =
-  let open M.Json in
+  let open J in
   Alcotest.(check bool) "scalars" true
     (equal
        (parse {| {"a": [1, -2.5, true, false, null], "b\n": "x\"y"} |})
@@ -194,16 +242,16 @@ let test_json_roundtrip () =
   M.time (M.timer "test.rt.timer") (fun () -> ());
   M.observe_int (M.histogram "test.rt.hist") 7;
   let json = M.snapshot_to_json () in
-  let reparsed = M.Json.parse (M.to_json_string ()) in
+  let reparsed = J.parse (M.to_json_string ()) in
   Alcotest.(check bool) "print/parse round-trip" true
-    (M.Json.equal json reparsed);
-  (match M.Json.member "schema" reparsed with
-  | Some (M.Json.Str v) ->
+    (J.equal json reparsed);
+  (match J.member "schema" reparsed with
+  | Some (J.Str v) ->
     Alcotest.(check string) "schema version" M.schema_version v
   | _ -> Alcotest.fail "snapshot must carry a schema field");
   let section name =
-    match M.Json.member name reparsed with
-    | Some (M.Json.Obj fields) -> List.map fst fields
+    match J.member name reparsed with
+    | Some (J.Obj fields) -> List.map fst fields
     | _ -> Alcotest.fail ("snapshot must have object section " ^ name)
   in
   Alcotest.(check bool) "counter serialized" true
@@ -233,7 +281,25 @@ let reach_db =
        (fun (x, y) -> D.Fact.of_strings "edge" [ x; y ])
        [ ("a", "b"); ("b", "c"); ("a", "c") ])
 
+(* The single vocabulary: every region is an [M.time] span, so with
+   both sinks on, the snapshot's timers and the trace's Begin events
+   name the same regions the same number of times. *)
+let check_one_vocabulary what =
+  let timed =
+    List.concat_map
+      (function name, M.Timer_value { count; _ } -> List.init count (Fun.const name) | _ -> [])
+      (M.snapshot ())
+  and traced =
+    List.sort compare
+      (List.filter_map
+         (fun ev -> if ev.T.phase = T.Begin then Some ev.T.name else None)
+         (T.events ()))
+  in
+  Alcotest.(check int) (what ^ ": no events dropped") 0 (T.dropped_events ());
+  Alcotest.(check (list string)) (what ^ ": one Begin per timer count") timed traced
+
 let test_pipeline_smoke () =
+  T.set_enabled true;
   let q = P.Explain.query reach_program "tc" in
   let e = P.Explain.explain q reach_db (P.Explain.goal q [ "a"; "c" ]) in
   Alcotest.(check int) "tc(a,c) has two why-members" 2
@@ -254,8 +320,18 @@ let test_pipeline_smoke () =
     (fun (layer, v) ->
       Alcotest.(check bool) (layer ^ " recorded activity") true (v > 0))
     layers;
+  check_one_vocabulary "explain";
+  (* Worker-domain spans: the batch fan-out over two domains. *)
+  M.reset ();
+  T.reset ();
+  let outcome =
+    P.Batch.run ~jobs:2 reach_program reach_db
+      (P.Batch.All_answers (D.Symbol.intern "tc"))
+  in
+  Alcotest.(check int) "batch ran two workers" 2 outcome.P.Batch.jobs;
+  check_one_vocabulary "batch --jobs 2";
   (* And the snapshot serializes cleanly after a real run. *)
-  ignore (M.Json.parse (M.to_json_string ()))
+  ignore (J.parse (M.to_json_string ()))
 
 let suite =
   ( "metrics",

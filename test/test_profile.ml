@@ -16,6 +16,7 @@ module D = Datalog
 module A = Whyprov_analysis
 module W = Workloads
 module M = Util.Metrics
+module J = Util.Json
 
 (* The five paper workloads, sized for unit tests (same shapes as
    test_engine.ml's differential suite). *)
@@ -124,7 +125,7 @@ let test_rule_consistency () =
 (* --- Determinism across the domain pool -------------------------------- *)
 
 let canonical prof =
-  M.Json.to_string (D.Profile.to_json ~times:false prof)
+  J.to_string (D.Profile.to_json ~times:false prof)
 
 let test_jobs_determinism () =
   List.iter
@@ -232,8 +233,8 @@ let test_audit_deterministic () =
         (sorted audit1.D.Profile.a_preds);
       Alcotest.(check string)
         (name ^ ": audit deterministic")
-        (M.Json.to_string (D.Profile.audit_to_json audit1))
-        (M.Json.to_string (D.Profile.audit_to_json audit2)))
+        (J.to_string (D.Profile.audit_to_json audit1))
+        (J.to_string (D.Profile.audit_to_json audit2)))
     (workloads ())
 
 (* A flip means compiling with the measured statistics changes the

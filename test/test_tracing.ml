@@ -1,11 +1,13 @@
-(* Structured event tracing (Util.Tracing): recording semantics, the
-   Chrome trace-event export round-tripped through the built-in JSON
-   parser, ring-buffer overflow, and — via qcheck — concurrent emission
-   from the batch worker pool (no lost events, per-domain span stacks
-   never interleave). *)
+(* Structured event tracing (Util.Tracing, with spans opened by
+   Util.Metrics.time): recording semantics, the Chrome trace-event
+   export round-tripped through the built-in JSON parser, ring-buffer
+   overflow, and — via qcheck — concurrent emission from the batch
+   worker pool (no lost events, per-domain span stacks never
+   interleave). *)
 
 module T = Util.Tracing
 module M = Util.Metrics
+module J = Util.Json
 module D = Datalog
 module P = Provenance
 
@@ -24,16 +26,16 @@ let with_tracing f () =
 
 let test_disabled_is_noop () =
   T.set_enabled false;
-  T.with_span "off.span" (fun () -> T.instant "off.instant");
+  M.time (M.timer "off.span") (fun () -> T.instant "off.instant");
   T.counter "off.counter" [ ("v", 1.0) ];
   T.set_enabled true;
   Alcotest.(check int) "nothing recorded while disabled" 0
     (List.length (T.events ()))
 
 let test_basic_recording () =
-  T.with_span
-    ~args:[ ("round", M.Json.Num 1.0) ]
-    "t.outer"
+  M.time
+    ~args:(fun () -> [ ("round", J.Num 1.0) ])
+    (M.timer "t.outer")
     (fun () ->
       T.instant "t.marker";
       T.counter "t.counter" [ ("a", 2.0); ("b", 3.0) ]);
@@ -42,11 +44,11 @@ let test_basic_recording () =
     Alcotest.(check bool) "begin phase" true (b.T.phase = T.Begin);
     Alcotest.(check string) "begin name" "t.outer" b.T.name;
     Alcotest.(check bool) "begin args kept" true
-      (b.T.args = [ ("round", M.Json.Num 1.0) ]);
+      (b.T.args = [ ("round", J.Num 1.0) ]);
     Alcotest.(check bool) "instant phase" true (i.T.phase = T.Instant);
     Alcotest.(check bool) "counter phase" true (c.T.phase = T.Counter);
     Alcotest.(check bool) "counter series" true
-      (c.T.args = [ ("a", M.Json.Num 2.0); ("b", M.Json.Num 3.0) ]);
+      (c.T.args = [ ("a", J.Num 2.0); ("b", J.Num 3.0) ]);
     Alcotest.(check bool) "end phase" true (e.T.phase = T.End);
     Alcotest.(check bool) "same domain" true
       (b.T.tid = e.T.tid && b.T.tid = i.T.tid);
@@ -58,7 +60,7 @@ let test_basic_recording () =
   | evs -> Alcotest.failf "expected 4 events, got %d" (List.length evs)
 
 let test_span_exception_safe () =
-  (match T.with_span "t.raises" (fun () -> failwith "boom") with
+  (match M.time (M.timer "t.raises") (fun () -> failwith "boom") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "exception must propagate");
   match T.events () with
@@ -76,17 +78,17 @@ let check_chrome_events events =
   let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
   let last_ts : (int, float) Hashtbl.t = Hashtbl.create 8 in
   let field name ev =
-    match M.Json.member name ev with
+    match J.member name ev with
     | Some v -> v
-    | None -> Alcotest.failf "event missing %S: %s" name (M.Json.to_string ev)
+    | None -> Alcotest.failf "event missing %S: %s" name (J.to_string ev)
   in
   let str = function
-    | M.Json.Str s -> s
-    | j -> Alcotest.failf "expected string, got %s" (M.Json.to_string j)
+    | J.Str s -> s
+    | j -> Alcotest.failf "expected string, got %s" (J.to_string j)
   in
   let num = function
-    | M.Json.Num n -> n
-    | j -> Alcotest.failf "expected number, got %s" (M.Json.to_string j)
+    | J.Num n -> n
+    | j -> Alcotest.failf "expected number, got %s" (J.to_string j)
   in
   List.iter
     (fun ev ->
@@ -124,21 +126,21 @@ let check_chrome_events events =
     stacks
 
 let trace_events_of_string s =
-  match M.Json.member "traceEvents" (M.Json.parse s) with
-  | Some (M.Json.List events) -> events
+  match J.member "traceEvents" (J.parse s) with
+  | Some (J.List events) -> events
   | _ -> Alcotest.fail "no traceEvents list"
 
 let test_chrome_roundtrip () =
-  T.with_span "rt.outer" (fun () ->
-      T.with_span "rt.inner" (fun () -> T.instant "rt.mark");
+  M.time (M.timer "rt.outer") (fun () ->
+      M.time (M.timer "rt.inner") (fun () -> T.instant "rt.mark");
       T.counter "rt.count" [ ("v", 42.0) ]);
   let events = trace_events_of_string (T.to_chrome_string ()) in
   check_chrome_events events;
   let names =
     List.filter_map
       (fun ev ->
-        match M.Json.member "name" ev with
-        | Some (M.Json.Str s) -> Some s
+        match J.member "name" ev with
+        | Some (J.Str s) -> Some s
         | _ -> None)
       events
   in
@@ -151,44 +153,17 @@ let test_chrome_roundtrip () =
   (* The instant event carries thread scope, the counter its series. *)
   List.iter
     (fun ev ->
-      match (M.Json.member "name" ev, M.Json.member "ph" ev) with
-      | Some (M.Json.Str "rt.mark"), Some (M.Json.Str "i") ->
+      match (J.member "name" ev, J.member "ph" ev) with
+      | Some (J.Str "rt.mark"), Some (J.Str "i") ->
         Alcotest.(check bool) "instant scope" true
-          (M.Json.member "s" ev = Some (M.Json.Str "t"))
-      | Some (M.Json.Str "rt.count"), Some (M.Json.Str "C") ->
+          (J.member "s" ev = Some (J.Str "t"))
+      | Some (J.Str "rt.count"), Some (J.Str "C") ->
         Alcotest.(check bool) "counter args" true
-          (match M.Json.member "args" ev with
-          | Some (M.Json.Obj [ ("v", M.Json.Num 42.0) ]) -> true
+          (match J.member "args" ev with
+          | Some (J.Obj [ ("v", J.Num 42.0) ]) -> true
           | _ -> false)
       | _ -> ())
     events
-
-let test_jsonl_lines_parse () =
-  T.with_span "jl.span" (fun () -> T.instant "jl.mark");
-  let path = Filename.temp_file "tracing" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      T.write_jsonl oc;
-      close_out oc;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      Alcotest.(check int) "one line per event" 3 (List.length !lines);
-      List.iter
-        (fun line ->
-          let ev = M.Json.parse line in
-          List.iter
-            (fun key ->
-              Alcotest.(check bool) (key ^ " present") true
-                (M.Json.member key ev <> None))
-            [ "ts_us"; "tid"; "ph"; "name" ])
-        !lines)
 
 let test_ring_overflow () =
   (* A tiny ring: 100 one-event instants cannot fit in 16 slots, so the
@@ -202,16 +177,16 @@ let test_ring_overflow () =
     (fun () ->
       Domain.join
         (Domain.spawn (fun () ->
-             T.with_span "ov.outer" (fun () ->
+             M.time (M.timer "ov.outer") (fun () ->
                  for i = 1 to 100 do
                    T.instant
-                     ~args:[ ("i", M.Json.Num (float_of_int i)) ]
+                     ~args:[ ("i", J.Num (float_of_int i)) ]
                      "ov.tick"
                  done)));
       Alcotest.(check bool) "events dropped" true (T.dropped_events () > 0);
       Alcotest.(check bool) "ring keeps the tail" true
         (List.exists
-           (fun e -> e.T.args = [ ("i", M.Json.Num 100.0) ])
+           (fun e -> e.T.args = [ ("i", J.Num 100.0) ])
            (T.events ()));
       check_chrome_events (trace_events_of_string (T.to_chrome_string ())))
 
@@ -332,7 +307,6 @@ let suite =
         tc "basic recording" `Quick (with_tracing test_basic_recording);
         tc "span exception safety" `Quick (with_tracing test_span_exception_safe);
         tc "chrome round-trip" `Quick (with_tracing test_chrome_roundtrip);
-        tc "jsonl lines parse" `Quick (with_tracing test_jsonl_lines_parse);
         tc "ring overflow" `Quick (with_tracing test_ring_overflow);
         tc "pipeline smoke" `Quick (with_tracing test_pipeline_smoke);
       ] )
