@@ -88,24 +88,25 @@ let () =
         Some (Sat.Preprocess.simplify ~nvars ~frozen:(fun _ -> false) clauses)
       else None
     in
-    let clauses =
-      match pre with Some p -> Sat.Preprocess.clauses p | None -> clauses
-    in
     (match pre with
     | None -> ()
     | Some p ->
       let s = Sat.Preprocess.stats p in
       Printf.eprintf
         "c preprocess: clauses %d->%d literals %d->%d eliminated=%d fixed=%d \
-         subsumed=%d strengthened=%d failed=%d rounds=%d\n"
+         subsumed=%d strengthened=%d failed=%d probes=%d probes-skipped=%d \
+         rounds=%d\n"
         s.Sat.Preprocess.original_clauses s.Sat.Preprocess.clauses
         s.Sat.Preprocess.original_literals s.Sat.Preprocess.literals
         s.Sat.Preprocess.eliminated_vars s.Sat.Preprocess.fixed_vars
         s.Sat.Preprocess.subsumed_clauses s.Sat.Preprocess.strengthened_clauses
-        s.Sat.Preprocess.failed_literals s.Sat.Preprocess.rounds);
+        s.Sat.Preprocess.failed_literals s.Sat.Preprocess.probes
+        s.Sat.Preprocess.probes_skipped s.Sat.Preprocess.rounds);
     let solver = Sat.Solver.create () in
     Sat.Solver.ensure_vars solver nvars;
-    List.iter (Sat.Solver.add_clause solver) clauses;
+    (match pre with
+    | Some p -> Sat.Preprocess.load p solver
+    | None -> List.iter (Sat.Solver.add_clause solver) clauses);
     let result = Sat.Solver.solve solver in
     let stats' = Sat.Solver.stats solver in
     Printf.eprintf

@@ -291,6 +291,15 @@ dune exec --no-build bin/whyfuzz.exe -- \
   fuzz --seed 42 --iters 50 --quiet > "$f2"
 diff "$f1" "$f2"
 
+echo "== benchmark answer checks (perfbench/selftest.py)"
+# One short run of each benchmark workload must pass its answer checks
+# (member families against the recorded pool digests), and a run with
+# one member corrupted on purpose must fail them. A change of search
+# order that produces a wrong member or a wrong UNSAT shows up here.
+if command -v python3 > /dev/null 2>&1; then
+  python3 perfbench/selftest.py
+fi
+
 echo "== docs link check"
 # Every relative markdown link and every backticked *.md path in the
 # user-facing docs must point at a file that exists.

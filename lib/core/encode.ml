@@ -447,11 +447,7 @@ let make ?acyclicity ?(elimination_order = Min_degree)
           ~frozen:(fun v -> v < nvars && frozen.(v))
           built
       in
-      (* The preprocessor's derivation precedes the simplified clauses
-         in the trace, keeping the DRAT proof checkable against the
-         original formula. *)
-      if proof_logging then Sat.Solver.append_proof solver (Sat.Preprocess.proof p);
-      List.iter (Sat.Solver.add_clause solver) (Sat.Preprocess.clauses p);
+      Sat.Preprocess.load p solver;
       Some p
     end
   in

@@ -93,18 +93,12 @@ let solve_instance opts ~name (cnf : Gen.cnf) =
            ~frozen:(fun _ -> false) cnf.clauses)
     else None
   in
-  let clauses =
-    match pre with Some p -> Sat.Preprocess.clauses p | None -> cnf.clauses
-  in
   let solver = Sat.Solver.create ~config:opts.config () in
-  if opts.certify then begin
-    Sat.Solver.enable_proof_logging solver;
-    match pre with
-    | Some p -> Sat.Solver.append_proof solver (Sat.Preprocess.proof p)
-    | None -> ()
-  end;
+  if opts.certify then Sat.Solver.enable_proof_logging solver;
   Sat.Solver.ensure_vars solver cnf.nvars;
-  List.iter (Sat.Solver.add_clause solver) clauses;
+  (match pre with
+  | Some p -> Sat.Preprocess.load p solver
+  | None -> List.iter (Sat.Solver.add_clause solver) cnf.clauses);
   match Sat.Solver.solve_with_timeout ~timeout_s:opts.timeout_s solver with
   | None -> finish Timeout (Sat.Solver.stats solver).Sat.Solver.conflicts
   | Some result ->

@@ -61,16 +61,12 @@ let pipeline_solver ~name ~config ~preprocess () =
              ~frozen:(fun _ -> false) clauses)
       else None
     in
-    let clauses' =
-      match pre with Some p -> Sat.Preprocess.clauses p | None -> clauses
-    in
     let solver = Sat.Solver.create ~config () in
     Sat.Solver.enable_proof_logging solver;
-    (match pre with
-    | Some p -> Sat.Solver.append_proof solver (Sat.Preprocess.proof p)
-    | None -> ());
     Sat.Solver.ensure_vars solver nvars;
-    List.iter (Sat.Solver.add_clause solver) clauses';
+    (match pre with
+    | Some p -> Sat.Preprocess.load p solver
+    | None -> List.iter (Sat.Solver.add_clause solver) clauses);
     match Sat.Solver.solve solver with
     | Sat.Solver.Sat ->
       let m = Sat.Solver.model solver in

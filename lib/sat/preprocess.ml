@@ -15,6 +15,8 @@ let m_fixed = Metrics.counter "preprocess.fixed_vars"
 let m_subsumed = Metrics.counter "preprocess.subsumed_clauses"
 let m_strengthened = Metrics.counter "preprocess.strengthened_clauses"
 let m_failed = Metrics.counter "preprocess.failed_literals"
+let m_probes = Metrics.counter "preprocess.probes"
+let m_probes_skipped = Metrics.counter "preprocess.probes_skipped"
 let m_equivalent = Metrics.counter "preprocess.equivalent_vars"
 let m_resolvents = Metrics.counter "preprocess.resolvents"
 let m_rounds = Metrics.histogram "preprocess.rounds"
@@ -58,6 +60,8 @@ type stats = {
   subsumed_clauses : int;
   strengthened_clauses : int;
   failed_literals : int;
+  probes : int;
+  probes_skipped : int;
   equivalent_vars : int;
   resolvents_added : int;
   rounds : int;
@@ -99,6 +103,8 @@ type t = {
   mutable n_subsumed : int;
   mutable n_strengthened : int;
   mutable n_failed : int;
+  mutable n_probes : int;
+  mutable n_probes_skipped : int;
   mutable n_equivalent : int;
   mutable n_resolvents : int;
   mutable n_rounds : int;
@@ -107,6 +113,10 @@ type t = {
   tstamp : int array;
   mutable epoch : int;
   ttrail : Lit.t Vec.t;
+  (* literal -> [implied_epoch] when an earlier probe since the last
+     formula change implied it *)
+  implied : int array;
+  mutable implied_epoch : int;
 }
 
 (* --- DRAT ------------------------------------------------------------- *)
@@ -387,9 +397,16 @@ let probe_literal t l =
   done;
   !conflict
 
+(* A literal implied by an earlier probe that did not fail cannot fail:
+   unit propagation is monotone, so [m ∈ UP(l)] gives [UP(m) ⊆ UP(l)].
+   Such a literal is skipped, but it still takes its slot of
+   [probe_limit], so the failed literals (and the formula and DRAT text
+   they lead to) are the same as when every literal is probed. A failed
+   literal changes the formula and forgets every stamp. *)
 let probe_pass t =
   let probes = ref 0 in
   let v = ref 0 in
+  t.implied_epoch <- t.implied_epoch + 1;
   while (not t.unsat) && !v < t.nvars && !probes < t.cfg.probe_limit do
     if t.assigns.(!v) = v_undef && not t.eliminated.(!v) then begin
       let has_occ =
@@ -401,12 +418,19 @@ let probe_pass t =
             if (not t.unsat) && t.assigns.(!v) = v_undef && !probes < t.cfg.probe_limit
             then begin
               incr probes;
-              if probe_literal t l then begin
-                t.n_failed <- t.n_failed + 1;
-                t.changed <- true;
-                log_add t [| Lit.negate l |];
-                push_unit t (Lit.negate l);
-                propagate_units t
+              if t.implied.(l) = t.implied_epoch then
+                t.n_probes_skipped <- t.n_probes_skipped + 1
+              else begin
+                t.n_probes <- t.n_probes + 1;
+                if probe_literal t l then begin
+                  t.n_failed <- t.n_failed + 1;
+                  t.changed <- true;
+                  t.implied_epoch <- t.implied_epoch + 1;
+                  log_add t [| Lit.negate l |];
+                  push_unit t (Lit.negate l);
+                  propagate_units t
+                end
+                else Vec.iter (fun m -> t.implied.(m) <- t.implied_epoch) t.ttrail
               end
             end)
           [ Lit.pos !v; Lit.neg !v ]
@@ -740,6 +764,8 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
       n_subsumed = 0;
       n_strengthened = 0;
       n_failed = 0;
+      n_probes = 0;
+      n_probes_skipped = 0;
       n_equivalent = 0;
       n_resolvents = 0;
       n_rounds = 0;
@@ -747,6 +773,8 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
       tstamp = Array.make (max 1 nvars) 0;
       epoch = 0;
       ttrail = Vec.create ();
+      implied = Array.make (2 * nvars) 0;
+      implied_epoch = 0;
     }
   in
   t.orig_clauses <- List.length clauses;
@@ -778,6 +806,8 @@ let simplify ?(config = default) ?(drat = false) ~nvars ~frozen clauses =
   Metrics.add m_subsumed t.n_subsumed;
   Metrics.add m_strengthened t.n_strengthened;
   Metrics.add m_failed t.n_failed;
+  Metrics.add m_probes t.n_probes;
+  Metrics.add m_probes_skipped t.n_probes_skipped;
   Metrics.add m_equivalent t.n_equivalent;
   Metrics.add m_resolvents t.n_resolvents;
   Metrics.observe_int m_rounds t.n_rounds;
@@ -794,21 +824,20 @@ let unsat t = t.unsat
 let nvars t = t.nvars
 let is_eliminated t v = v >= 0 && v < t.nvars && t.eliminated.(v)
 
-let clauses t =
-  if t.unsat then [ [] ]
+(* The unit clauses of the fixed variables, then the live clauses. *)
+let iter_clauses t f =
+  if t.unsat then f []
   else begin
-    let acc = ref [] in
-    Vec.iter
-      (fun c -> if not c.deleted then acc := Array.to_list c.lits :: !acc)
-      t.arena;
-    let acc = List.rev !acc in
-    let units = ref [] in
-    for v = t.nvars - 1 downto 0 do
-      if t.assigns.(v) <> v_undef then
-        units := [ Lit.make v (t.assigns.(v) = 0) ] :: !units
+    for v = 0 to t.nvars - 1 do
+      if t.assigns.(v) <> v_undef then f [ Lit.make v (t.assigns.(v) = 0) ]
     done;
-    !units @ acc
+    Vec.iter (fun c -> if not c.deleted then f (Array.to_list c.lits)) t.arena
   end
+
+let clauses t =
+  let acc = ref [] in
+  iter_clauses t (fun c -> acc := c :: !acc);
+  List.rev !acc
 
 let extend_model t m =
   let m =
@@ -853,12 +882,22 @@ let stats t =
     subsumed_clauses = t.n_subsumed;
     strengthened_clauses = t.n_strengthened;
     failed_literals = t.n_failed;
+    probes = t.n_probes;
+    probes_skipped = t.n_probes_skipped;
     equivalent_vars = t.n_equivalent;
     resolvents_added = t.n_resolvents;
     rounds = t.n_rounds;
   }
 
 let proof t = match t.drat with Some b -> Buffer.contents b | None -> ""
+
+let load t solver =
+  Solver.ensure_vars solver t.nvars;
+  Solver.append_proof solver (proof t);
+  for v = 0 to t.nvars - 1 do
+    if t.eliminated.(v) then Solver.set_decision_var solver v false
+  done;
+  iter_clauses t (Solver.add_clause solver)
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -8,7 +8,9 @@
       driven by per-literal occurrence lists with 62-bit clause
       signatures as a cheap subset pre-filter;
     - {b failed-literal probing}: assume a literal, propagate; a
-      conflict yields the negated literal as a top-level unit;
+      conflict yields the negated literal as a top-level unit. A
+      literal that an earlier non-failing probe implied, with no failed
+      literal in between, is not probed again: it cannot fail;
     - {b equivalent-literal substitution}: strongly connected
       components of the binary-implication graph (the 2-clause
       digraph with edges [¬a → b] and [¬b → a] per clause [a ∨ b])
@@ -35,7 +37,9 @@
     the stack in reverse elimination order to re-extend a model of the
     simplified formula into a model of the original formula — needed
     whenever a full model is read back (witness DAGs, the [satsolve]
-    ["v"] line).
+    ["v"] line). {!load} takes eliminated variables out of the solver's
+    decision order, so the solver leaves them unassigned and only
+    [extend_model] gives them values.
 
     The guarantee the enumerator relies on (and the differential tests
     pin down): the simplified formula has exactly the same models as
@@ -89,6 +93,10 @@ type stats = {
   subsumed_clauses : int;
   strengthened_clauses : int;  (** self-subsumption hits *)
   failed_literals : int;
+  probes : int;             (** literals propagated by probing *)
+  probes_skipped : int;
+      (** probe slots not propagated because an earlier probe implied
+          the literal; they count against [probe_limit] all the same *)
   equivalent_vars : int;
       (** variables substituted away by binary-implication-graph SCC
           collapse (counted into the reconstruction stack like BVE) *)
@@ -111,6 +119,15 @@ val simplify :
 val clauses : t -> Lit.t list list
 (** The simplified clause set, including one unit clause per top-level
     fixed variable and the empty clause if the set was refuted. *)
+
+val load : t -> Solver.t -> unit
+(** Hands the simplified formula to a solver: makes variables
+    [0 .. nvars-1] exist, appends the {!proof} (see
+    {!Solver.append_proof}; a no-op unless the solver logs), clears
+    the decision flag of every eliminated or substituted variable (see
+    {!Solver.set_decision_var}), and adds the clauses of {!clauses}, in
+    the same order. Call it on a solver that holds no clauses over
+    these variables yet. *)
 
 val unsat : t -> bool
 (** The preprocessor refuted the formula outright. *)

@@ -142,6 +142,7 @@ type t = {
   mutable reasons : clause option array;
   mutable activity : float array;
   mutable polarity : bool array;        (* saved phase *)
+  mutable decision : bool array;        (* var may be picked as a decision *)
   mutable seen : bool array;            (* scratch for analyze *)
   trail : Lit.t Vec.t;
   trail_lim : int Vec.t;
@@ -188,6 +189,7 @@ let create ?(config = default_config) () =
         reasons = [||];
         activity = [||];
         polarity = [||];
+        decision = [||];
         seen = [||];
         trail = Vec.create ();
         trail_lim = Vec.create ();
@@ -239,6 +241,7 @@ let grow_arrays t n =
     t.reasons <- grow t.reasons None;
     t.activity <- grow t.activity 0.0;
     t.polarity <- grow t.polarity t.default_polarity;
+    t.decision <- grow t.decision true;
     t.seen <- grow t.seen false;
     let w' = Array.init (2 * cap') (fun i ->
         if i < Array.length t.watches then t.watches.(i) else Vec.create ())
@@ -257,6 +260,14 @@ let new_var t =
 let ensure_vars t n = while t.nvars < n do ignore (new_var t) done
 
 let set_default_polarity t b = t.default_polarity <- b
+
+(* MiniSat's [setDecisionVar]. A cleared variable is dropped from the
+   heap lazily: [pick_branch_var] skips it and [backtrack] never puts it
+   back. *)
+let set_decision_var t v b =
+  ensure_vars t (v + 1);
+  t.decision.(v) <- b;
+  if b && not (Heap.in_heap t.order v) then Heap.insert t.order v
 
 (* --- DRAT proof logging ----------------------------------------------- *)
 
@@ -348,7 +359,7 @@ let backtrack t level =
       t.assigns.(v) <- v_undef;
       t.polarity.(v) <- Lit.sign l;
       t.reasons.(v) <- None;
-      if not (Heap.in_heap t.order v) then Heap.insert t.order v
+      if t.decision.(v) && not (Heap.in_heap t.order v) then Heap.insert t.order v
     done;
     Vec.shrink t.trail bound;
     Vec.shrink t.trail_lim level;
@@ -519,7 +530,14 @@ let add_clause t lits =
   Metrics.incr m_clauses_added;
   t.model_ <- None;
   if t.ok then begin
-    List.iter (fun l -> ensure_vars t (Lit.var l + 1)) lits;
+    (* A variable that occurs in a clause must be decided, or a model
+       could leave the clause unassigned. *)
+    List.iter
+      (fun l ->
+        let v = Lit.var l in
+        ensure_vars t (v + 1);
+        if not t.decision.(v) then set_decision_var t v true)
+      lits;
     (* Sort, dedup, drop level-0-false literals, detect tautologies and
        level-0-true literals. *)
     let lits = List.sort_uniq compare lits in
@@ -751,7 +769,7 @@ let pick_branch_var t =
   let rec loop () =
     match Heap.remove_max t.order with
     | None -> None
-    | Some v -> if t.assigns.(v) = v_undef then Some v else loop ()
+    | Some v -> if t.assigns.(v) = v_undef && t.decision.(v) then Some v else loop ()
   in
   loop ()
 

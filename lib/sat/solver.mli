@@ -62,8 +62,18 @@ val num_vars : t -> int
 val add_clause : t -> Lit.t list -> unit
 (** Adds a clause. Must be called with the solver at decision level 0
     (i.e. outside {!solve}); duplicates and level-0-false literals are
-    removed, tautologies dropped. May make the solver permanently
-    unsatisfiable (see {!okay}). *)
+    removed, tautologies dropped. Every variable of the clause becomes
+    a decision variable (see {!set_decision_var}). May make the solver
+    permanently unsatisfiable (see {!okay}). *)
+
+val set_decision_var : t -> int -> bool -> unit
+(** [set_decision_var s v b] lets ([b = true], the default for every
+    variable) or forbids the search to branch on [v] (MiniSat's
+    [setDecisionVar]). A variable that is not a decision variable and
+    occurs in no clause stays unassigned in a model, where {!value}
+    reads it as [false]. {!Preprocess.load} clears the flag of every
+    variable the preprocessor eliminated; {!add_clause} sets it again
+    for every variable of the clause it is given. *)
 
 val okay : t -> bool
 (** [false] once the clause set has been proven unsatisfiable at level 0;

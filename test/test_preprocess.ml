@@ -333,6 +333,105 @@ let test_frozen_blocks_elimination () =
   let p = Sat.Preprocess.simplify ~nvars:2 ~frozen:(fun v -> v = 0) clauses in
   Alcotest.(check bool) "frozen var kept" false (Sat.Preprocess.is_eliminated p 0)
 
+(* --- Probe exactness ------------------------------------------------------ *)
+
+(* Probing skips a literal that an earlier non-failing probe implied; that
+   must leave the output unchanged. Recorded before the skip existed: per
+   formula and [probe_limit], the stats (clauses, literals, eliminated,
+   fixed, subsumed, strengthened, failed literals, equivalent, resolvents,
+   rounds), the MD5 of the simplified clauses as DIMACS and the MD5 of the
+   DRAT text. The fixtures are Doctors-5 and Andersen D5 encodings with
+   failed literals, their db-fact variables frozen as in the pipeline (the
+   "c frozen" line). A limit of 64 makes skipped slots decide where
+   probing stops. Paths are relative to the test's build directory. *)
+let recorded_simplifications =
+  [
+    ( "fixtures/doctors5-globex-h11.cnf", 4096,
+      (286, 631, 15, 5, 54, 197, 3, 153, 95, 3),
+      "00976136ede99c3a6e1662c8e7a16fdc", "6a03195cba7d97900bec528f20b4230a" );
+    ( "fixtures/doctors5-globex-h11.cnf", 64,
+      (284, 629, 16, 3, 54, 223, 0, 154, 92, 3),
+      "606bca8bb705d64d2eef2a6ac7835243", "8ea4f73c25cb05011ba3193110c3ca6b" );
+    ( "fixtures/andersen-d5-x256_9-o341.cnf", 4096,
+      (945, 1005, 217, 891, 22, 26, 45, 90, 77, 3),
+      "c30831d3a83920836e503dffa2251dc3", "bb7a8c54616e44a48e4799f9b5b41c07" );
+    ( "fixtures/andersen-d5-x256_9-o341.cnf", 64,
+      (348, 415, 594, 290, 82, 232, 9, 543, 818, 3),
+      "fa322abae6b5ddfc93d3f366df77dd8b", "ed33c9dbce6e4fdfc83c54cece6652f9" );
+    ( "fixtures/andersen-d5-x1086_6-o703.cnf", 4096,
+      (194, 397, 205, 67, 32, 45, 24, 137, 250, 3),
+      "1eae2ae4e05c280fbfce646cd3ee5f8e", "e8cff219b61263f50fc5317720ca8644" );
+    ( "fixtures/andersen-d5-x1086_6-o703.cnf", 64,
+      (281, 739, 261, 11, 32, 79, 4, 126, 461, 3),
+      "3bddbb17069aeed6f5e238bfa7fcdc70", "d5855de6391111a8440e7e17e830fe75" );
+    ( "../examples/cnf/chain.cnf", 4096,
+      (2, 2, 3, 2, 1, 1, 1, 0, 0, 2),
+      "25ce9b20e502e0a05d23d034c6965ed3", "18680639c405f16de784bd4881f96e80" );
+    ( "../examples/cnf/php43.cnf", 4096,
+      (1, 0, 5, 7, 0, 2, 3, 0, 18, 2),
+      "47b56627a5410fc73a392fc2e2f3f814", "f0e4f05de676c11e7b6bb5aa2061020d" );
+    ( "../examples/cnf/corpus/php54.cnf", 4096,
+      (40, 120, 5, 0, 0, 0, 0, 0, 20, 2),
+      "467e7472f12695935ced4ca8a84432c6", "f0bec13cc25f2cfad647be0557b45c5f" );
+    ( "../examples/cnf/corpus/random-a.cnf", 4096,
+      (198, 605, 4, 0, 0, 0, 0, 0, 11, 2),
+      "c48953f434ecb9aaa8756c90ab104bde", "a1757ea6e04358d8a4cee95257270f02" );
+    ( "../examples/cnf/corpus/random-b.cnf", 4096,
+      (208, 632, 2, 0, 0, 0, 0, 0, 8, 2),
+      "a57168cfe8928be6f0000015babc08f4", "6c41e0b42b46356491b1670e451ff7a0" );
+    ( "../examples/cnf/corpus/sudoku-2.cnf", 4096,
+      (49, 49, 4, 49, 8, 0, 0, 10, 6, 2),
+      "402cf9e6d5312d1578e6187128a79e45", "5777b8a3c8a02aa363dddca8509041cf" );
+    ( "../examples/cnf/corpus/unit-conflict.cnf", 4096,
+      (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+      "bc935b04f50d491dd2ed9232d9a74b8d", "897316929176464ebc9ad085f31e7284" );
+    ( "../examples/cnf/corpus/xor-chain-unsat.cnf", 4096,
+      (1, 0, 0, 47, 0, 0, 0, 0, 0, 0),
+      "fc84193df61484c6d4020b56caad6fe1", "e30299842d7a9d55375bc06cb01221c2" );
+  ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  really_input_string ic (in_channel_length ic)
+
+let frozen_vars src =
+  String.split_on_char '\n' src
+  |> List.concat_map (fun line ->
+         match String.split_on_char ' ' line with
+         | "c" :: "frozen" :: vars -> List.map (fun v -> int_of_string v - 1) vars
+         | _ -> [])
+
+let test_probe_exactness () =
+  List.iter
+    (fun (file, probe_limit, expected, clauses_md5, proof_md5) ->
+      let src = read_file file in
+      let nvars, clauses = Sat.Dimacs.of_string src in
+      let frozen = Array.make (max 1 nvars) false in
+      List.iter (fun v -> frozen.(v) <- true) (frozen_vars src);
+      let config = { Sat.Preprocess.default with probe_limit } in
+      let p =
+        Sat.Preprocess.simplify ~config ~drat:true ~nvars
+          ~frozen:(fun v -> frozen.(v)) clauses
+      in
+      let s = Sat.Preprocess.stats p in
+      let name what = Printf.sprintf "%s, limit %d: %s" file probe_limit what in
+      let a, b, c, d, e, f, g, h, i, j = expected in
+      Alcotest.(check (list int)) (name "stats") [ a; b; c; d; e; f; g; h; i; j ]
+        Sat.Preprocess.
+          [ s.clauses; s.literals; s.eliminated_vars; s.fixed_vars;
+            s.subsumed_clauses; s.strengthened_clauses; s.failed_literals;
+            s.equivalent_vars; s.resolvents_added; s.rounds ];
+      let md5 text = Digest.to_hex (Digest.string text) in
+      Alcotest.(check string) (name "clauses") clauses_md5
+        (md5 (Sat.Dimacs.to_string ~nvars (Sat.Preprocess.clauses p)));
+      Alcotest.(check string) (name "proof") proof_md5
+        (md5 (Sat.Preprocess.proof p));
+      if String.starts_with ~prefix:"fixtures/" file then
+        Alcotest.(check bool) (name "some probes skipped") true
+          (s.Sat.Preprocess.probes_skipped > 0))
+    recorded_simplifications
+
 let suite =
   ( "preprocess",
     List.map QCheck_alcotest.to_alcotest
@@ -354,4 +453,6 @@ let suite =
         Alcotest.test_case "top-level conflict refutes" `Quick test_unsat_detected;
         Alcotest.test_case "frozen blocks elimination" `Quick
           test_frozen_blocks_elimination;
+        Alcotest.test_case "probe skipping keeps the output" `Quick
+          test_probe_exactness;
       ] )

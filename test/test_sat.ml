@@ -359,6 +359,82 @@ let test_at_most_zero () =
   | Sat.Solver.Unsat -> ()
   | Sat.Solver.Sat -> Alcotest.fail "at-most-0 with a forced literal is UNSAT"
 
+(* --- Decision flags ----------------------------------------------------- *)
+
+(* Ten core variables under a 3-CNF with a planted model, each copied
+   into a chain of twenty equivalent variables: preprocessing substitutes
+   or eliminates almost every variable. *)
+let chained_cnf () =
+  let core = 10 and chain = 20 in
+  let copy k i = core + (k * chain) + i in
+  let copies =
+    List.concat_map
+      (fun k ->
+        List.concat_map
+          (fun i ->
+            let prev = if i = 0 then k else copy k (i - 1) in
+            Sat.Lit.[ [ neg prev; pos (copy k i) ]; [ pos prev; neg (copy k i) ] ])
+          (List.init chain Fun.id))
+      (List.init core Fun.id)
+  in
+  let planted v = v mod 2 = 0 in
+  let rng = Random.State.make [| 7 |] in
+  let core_clauses =
+    List.init 30 (fun _ ->
+        let lits =
+          List.init 3 (fun _ ->
+              Sat.Lit.make (Random.State.int rng core) (Random.State.bool rng))
+        in
+        if List.exists (fun l -> Sat.Lit.sign l = planted (Sat.Lit.var l)) lits
+        then lits
+        else Sat.Lit.negate (List.hd lits) :: List.tl lits)
+  in
+  (core * (chain + 1), core_clauses @ copies)
+
+let satisfies model clauses =
+  List.for_all
+    (List.exists (fun l -> model.(Sat.Lit.var l) = Sat.Lit.sign l))
+    clauses
+
+let test_decision_flags () =
+  let nvars, clauses = chained_cnf () in
+  let p = Sat.Preprocess.simplify ~nvars ~frozen:(fun _ -> false) clauses in
+  let st = Sat.Preprocess.stats p in
+  let live =
+    nvars - st.Sat.Preprocess.eliminated_vars - st.Sat.Preprocess.equivalent_vars
+    - st.Sat.Preprocess.fixed_vars
+  in
+  Alcotest.(check bool) "most variables eliminated" true (4 * live < nvars);
+  let s = Sat.Solver.create () in
+  (* With phase true, a variable reads false in a model only if it was
+     never decided: no clause mentions an eliminated variable. *)
+  Sat.Solver.set_default_polarity s true;
+  Sat.Preprocess.load p s;
+  (match Sat.Solver.solve s with
+  | Sat.Solver.Unsat -> Alcotest.fail "planted model: must be SAT"
+  | Sat.Solver.Sat ->
+    let decisions = (Sat.Solver.stats s).Sat.Solver.decisions in
+    if decisions > live then
+      Alcotest.failf "%d decisions for %d live variables" decisions live;
+    let model = Sat.Preprocess.extend_model p (Sat.Solver.model s) in
+    Alcotest.(check bool) "extended model satisfies the original" true
+      (satisfies model clauses));
+  let v =
+    List.find (Sat.Preprocess.is_eliminated p) (List.init nvars Fun.id)
+  in
+  Alcotest.(check bool) "eliminated variable not decided" false
+    (Sat.Solver.value s v);
+  (* [w] is true at level 0, so the clause is dropped as satisfied; it
+     must still make [v] a decision variable. *)
+  let w = nvars in
+  Sat.Solver.add_clause s [ Sat.Lit.pos w ];
+  Sat.Solver.add_clause s [ Sat.Lit.neg v; Sat.Lit.pos w ];
+  match Sat.Solver.solve s with
+  | Sat.Solver.Sat ->
+    Alcotest.(check bool) "decided again after add_clause" true
+      (Sat.Solver.value s v)
+  | Sat.Solver.Unsat -> Alcotest.fail "still SAT"
+
 let suite =
   let tc = Alcotest.test_case in
   ( "sat",
@@ -385,4 +461,5 @@ let suite =
       tc "default polarity" `Quick test_default_polarity;
       tc "model unavailable" `Quick test_model_unavailable;
       tc "at-most zero" `Quick test_at_most_zero;
+      tc "decision flags" `Quick test_decision_flags;
     ] )
