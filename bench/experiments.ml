@@ -421,7 +421,7 @@ let batch () =
    by the flat-tuple engine (Eval.seminaive) and by its structural
    predecessor (Eval.seminaive_structural). Sizes are absolute fact
    targets fed to the generators' [?facts] knob; models are compared as
-   sets and ranks as tables, so every row doubles as a large-scale
+   sets and ranks fact by fact, so every row doubles as a large-scale
    differential test. Peak live words are sampled by a Gc alarm at the
    end of each major cycle — an engine's resident join state, not
    transient allocation. *)
@@ -438,23 +438,24 @@ let engine () =
       Gc.create_alarm (fun () ->
           peak := max !peak (Gc.quick_stat ()).Gc.live_words)
     in
-    let ranks : int D.Fact.Table.t = D.Fact.Table.create 1024 in
-    let (model : D.Database.t), seconds = time (fun () -> run ranks) in
+    let ((model : D.Database.t), rank), seconds = time run in
     (* Evaluation is deterministic, so re-runs only serve to shake
        scheduling/GC noise out of the clock: take the best of up to
        three, stopping once a further run would push past ~2s. *)
     let best = ref seconds in
     let reps = ref 1 in
     while !reps < 3 && !best *. float_of_int (!reps + 1) < 2.0 do
-      let throwaway : int D.Fact.Table.t = D.Fact.Table.create 1024 in
-      let _, t = time (fun () -> run throwaway) in
+      let _, t = time run in
       best := min !best t;
       incr reps
     done;
     Gc.delete_alarm alarm;
     peak := max !peak (Gc.quick_stat ()).Gc.live_words;
-    let rounds = D.Fact.Table.fold (fun _ r acc -> max r acc) ranks 0 in
-    (model, ranks, !best, rounds, !peak)
+    let rounds = ref 0 in
+    D.Database.iter
+      (fun f -> rounds := max !rounds (Option.value ~default:0 (rank f)))
+      model;
+    (model, rank, !best, !rounds, !peak)
   in
   let bench name sizes program (db_of_size : int -> D.Database.t) =
     List.iter
@@ -462,22 +463,19 @@ let engine () =
         stats_begin ();
         let db = db_of_size size in
         let facts = D.Database.size db in
-        let model_new, ranks_new, new_s, rounds, peak_new =
-          measure_engine (fun ranks -> D.Eval.seminaive ~ranks program db)
+        let model_new, rank_new, new_s, rounds, peak_new =
+          measure_engine (fun () -> D.Eval.seminaive_ranked program db)
         in
-        let model_old, ranks_old, old_s, rounds_old, peak_old =
-          measure_engine (fun ranks ->
-              D.Eval.seminaive_structural ~ranks program db)
+        let model_old, rank_old, old_s, rounds_old, peak_old =
+          measure_engine (fun () -> D.Eval.seminaive_structural program db)
         in
         let identical =
           D.Fact.Set.equal (D.Database.to_set model_new)
             (D.Database.to_set model_old)
           && rounds = rounds_old
-          && D.Fact.Table.length ranks_new = D.Fact.Table.length ranks_old
-          && D.Fact.Table.fold
-               (fun f r acc ->
-                 acc && D.Fact.Table.find_opt ranks_old f = Some r)
-               ranks_new true
+          && List.for_all
+               (fun f -> rank_new f = rank_old f)
+               (D.Database.to_list model_new)
         in
         let derived = D.Database.size model_new - facts in
         let per_s t = float_of_int derived /. t in
@@ -569,17 +567,15 @@ let planner () =
   let module A = Whyprov_analysis in
   let measure run =
     Gc.compact ();
-    let ranks : int D.Fact.Table.t = D.Fact.Table.create 1024 in
-    let (model : D.Database.t), seconds = time (fun () -> run ranks) in
+    let ((model : D.Database.t), rank), seconds = time run in
     let best = ref seconds in
     let reps = ref 1 in
     while !reps < 3 && !best *. float_of_int (!reps + 1) < 2.0 do
-      let throwaway : int D.Fact.Table.t = D.Fact.Table.create 1024 in
-      let _, t = time (fun () -> run throwaway) in
+      let _, t = time run in
       best := min !best t;
       incr reps
     done;
-    (model, ranks, !best)
+    (model, rank, !best)
   in
   let bench name program db =
     stats_begin ();
@@ -587,17 +583,14 @@ let planner () =
     let analysis, analyze_s = time (fun () -> A.Absint.analyze program db) in
     let stats = A.Absint.stats analysis in
     let m_heur, r_heur, heur_s =
-      measure (fun ranks -> D.Eval.seminaive ~ranks program db)
+      measure (fun () -> D.Eval.seminaive_ranked program db)
     in
     let m_cost, r_cost, cost_s =
-      measure (fun ranks -> D.Eval.seminaive ~ranks ~stats program db)
+      measure (fun () -> D.Eval.seminaive_ranked ~stats program db)
     in
     let identical =
       D.Fact.Set.equal (D.Database.to_set m_heur) (D.Database.to_set m_cost)
-      && D.Fact.Table.length r_heur = D.Fact.Table.length r_cost
-      && D.Fact.Table.fold
-           (fun f r acc -> acc && D.Fact.Table.find_opt r_cost f = Some r)
-           r_heur true
+      && List.for_all (fun f -> r_heur f = r_cost f) (D.Database.to_list m_heur)
     in
     let speedup = heur_s /. cost_s in
     emit_stats_row "planner"

@@ -131,7 +131,12 @@ let setup_obs stats stats_out trace progress profile =
 
 let load_file path =
   let rules, facts = D.Parser.split (D.Parser.parse_file path) in
-  (D.Program.make rules, D.Database.of_list facts)
+  match D.Database.of_list facts with
+  | db -> (D.Program.make rules, db)
+  | exception Invalid_argument msg ->
+    (* Two arities of one predicate among the facts (analyzer WP003). *)
+    Format.eprintf "whyprov: %s: %s@." path msg;
+    exit 1
 
 (* Load for explain/batch: run the static analyzer first. Errors abort
    with the positioned diagnostics on stderr; warnings are printed (to

@@ -233,15 +233,16 @@ dune exec --no-build bin/whyprov.exe -- \
 diff "$pr1" "$pr2"
 
 echo "== bench regression gate (--check, EXPERIMENTS.md)"
-# Record a fresh baseline over two small workloads, then gate against
-# it: the same run must pass, and an injected 2x slowdown must fail.
+# Record a fresh baseline over three small workloads (engine, planner,
+# batch), then gate against it: the same run must pass, and an
+# injected 2x slowdown must fail.
 bb=$(mktemp -t whyprov-bench-base.XXXXXX)
 bslow=$(mktemp -t whyprov-bench-slow.XXXXXX)
 trap 'rm -f "$out" "$b1" "$b2" "$bstats" "$t1" "$t2" "$prog" "$p1" "$p2" "$a1" "$a2" "$pr1" "$pr2" "$bb" "$bslow"' EXIT
 dune exec --no-build bench/main.exe -- \
-  --scale 0.05 --stats-out "$bb" engine planner > /dev/null
+  --scale 0.05 --stats-out "$bb" engine planner batch > /dev/null
 dune exec --no-build bench/main.exe -- \
-  --scale 0.05 --check "$bb" engine planner > /dev/null
+  --scale 0.05 --check "$bb" engine planner batch > /dev/null
 
 # Halve every *_s time in the baseline: the (unchanged) fresh run now
 # looks 2x slower than "recorded" and the gate must exit non-zero.
@@ -257,7 +258,7 @@ with open(sys.argv[1]) as f, open(sys.argv[2], "w") as g:
         g.write(json.dumps(row) + "\n")
 PY
   if dune exec --no-build bench/main.exe -- \
-       --scale 0.05 --check "$bslow" engine planner > /dev/null; then
+       --scale 0.05 --check "$bslow" engine planner batch > /dev/null; then
     echo "dev-check: bench --check should fail against a 2x-faster baseline" >&2
     exit 1
   fi

@@ -539,7 +539,7 @@ let slice t ~query =
 let relevant_db s db =
   let relevant : (Symbol.t, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun p -> Hashtbl.replace relevant p ()) s.s_relevant;
-  let out = Database.create ~size:(Database.size db) () in
+  let out = Database.create () in
   Database.iter
     (fun f -> if Hashtbl.mem relevant (Fact.pred f) then ignore (Database.add out f))
     db;
@@ -553,11 +553,9 @@ exception Fires
    the whole soundness claim of the slice, checked by the reference
    engine rather than trusted from the abstract run. *)
 let certify s db =
-  let full_ranks : int Fact.Table.t = Fact.Table.create 256 in
-  let full = Eval.seminaive_structural ~ranks:full_ranks s.s_original db in
-  let sliced_ranks : int Fact.Table.t = Fact.Table.create 256 in
-  let sliced =
-    Eval.seminaive_structural ~ranks:sliced_ranks s.s_program (relevant_db s db)
+  let full, full_rank = Eval.seminaive_structural s.s_original db in
+  let sliced, sliced_rank =
+    Eval.seminaive_structural s.s_program (relevant_db s db)
   in
   let relevant : (Symbol.t, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun p -> Hashtbl.replace relevant p ()) s.s_relevant;
@@ -586,8 +584,7 @@ let certify s db =
   let models_ok = Fact.Set.equal full_restricted sliced_restricted in
   let ranks_ok =
     Fact.Set.for_all
-      (fun f ->
-        Fact.Table.find_opt full_ranks f = Fact.Table.find_opt sliced_ranks f)
+      (fun f -> full_rank f = sliced_rank f)
       full_restricted
   in
   let ok = reasons_ok && models_ok && ranks_ok in

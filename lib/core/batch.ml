@@ -107,9 +107,8 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
     ?preprocess ?minimize_blocking ?stats program db spec =
   Metrics.time m_run_time @@ fun () ->
   Metrics.incr m_runs;
-  let ranks : int Fact.Table.t = Fact.Table.create 1024 in
-  let model, materialize_s =
-    timed m_materialize_time (fun () -> Eval.seminaive ~ranks ?stats program db)
+  let (model, rank), materialize_s =
+    timed m_materialize_time (fun () -> Eval.seminaive_ranked ?stats program db)
   in
   let facts =
     match spec with
@@ -123,7 +122,7 @@ let run ?(jobs = 1) ?(limit = max_int) ?conflict_budget ?acyclicity ?max_fill
   let closures, closures_s =
     timed m_closures_time (fun () -> Array.map (Closure.build_cached cache db) facts)
   in
-  let fact_ranks = Array.map (fun f -> Fact.Table.find_opt ranks f) facts in
+  let fact_ranks = Array.map rank facts in
   let n = Array.length facts in
   let workers = if n = 0 then 0 else min (max 1 jobs) n in
   let results : result option array = Array.make n None in

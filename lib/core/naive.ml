@@ -93,9 +93,8 @@ let supports_of_trees trees =
 let why_nr program db fact = supports_of_trees (non_recursive_trees program db fact)
 
 let min_depth program db fact =
-  let ranks = Fact.Table.create 256 in
-  let _model = Eval.seminaive ~ranks program db in
-  Fact.Table.find_opt ranks fact
+  let _model, rank = Eval.seminaive_ranked program db in
+  rank fact
 
 let why_md program db fact =
   match min_depth program db fact with

@@ -4,19 +4,18 @@ type t = {
   program : Program.t;
   db : Database.t;
   model : Database.t;
-  ranks : int Fact.Table.t;
+  ranks : Fact.t -> int option;
   (* Lazily chosen rank-decreasing derivation per fact. *)
   chosen : (Rule.t * Fact.t list) option Fact.Table.t;
 }
 
 let record program db =
-  let ranks = Fact.Table.create 1024 in
-  let model = Eval.seminaive ~ranks program db in
+  let model, ranks = Eval.seminaive_ranked program db in
   { program; db; model; ranks; chosen = Fact.Table.create 256 }
 
 let model t = t.model
 
-let rank t fact = Option.value ~default:max_int (Fact.Table.find_opt t.ranks fact)
+let rank t fact = Option.value ~default:max_int (t.ranks fact)
 
 let derivation t fact =
   match Fact.Table.find_opt t.chosen fact with

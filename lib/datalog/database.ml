@@ -2,76 +2,39 @@ module Vec = Util.Vec
 module Metrics = Util.Metrics
 module SymMap = Map.Make (Int)
 
-(* Same index vocabulary as the flat engine's relations ({!Flatrel}):
-   these structural per-position indexes serve the backward joins of
-   [Eval.derivations], so their build/probe traffic belongs in the same
-   eval.index.* series (docs/OBSERVABILITY.md). *)
-let m_index_builds = Metrics.counter "eval.index.builds"
-let m_index_entries = Metrics.counter "eval.index.entries"
+(* The column indexes are the flat engine's own ({!Flatrel}), so their
+   build and probe traffic belongs in the same eval.index.* series
+   (docs/OBSERVABILITY.md); builds and entries tick inside [Flatrel]. *)
 let m_index_probes = Metrics.counter "eval.index.probes"
 let m_index_hits = Metrics.counter "eval.index.hits"
 
-type pos_index = (Symbol.t, int Vec.t) Hashtbl.t
+type t = { mutable rels : Flatrel.t SymMap.t }
 
-type store = {
-  store_facts : Fact.t Vec.t;
-  (* Lazily built: position -> (constant -> indexes into [store_facts]).
-     Kept up to date by [add] once built. *)
-  indexes : (int, pos_index) Hashtbl.t;
-}
+let create () = { rels = SymMap.empty }
 
-type t = {
-  all : unit Fact.Table.t;
-  mutable stores : store SymMap.t;
-}
+let of_relations rels =
+  { rels = List.fold_left (fun m (p, rel) -> SymMap.add p rel m) SymMap.empty rels }
 
-let create ?(size = 1024) () =
-  { all = Fact.Table.create size; stores = SymMap.empty }
-
-let store_of t p =
-  match SymMap.find_opt p t.stores with
-  | Some s -> s
-  | None ->
-    let s = { store_facts = Vec.create (); indexes = Hashtbl.create 4 } in
-    t.stores <- SymMap.add p s t.stores;
-    s
-
-let index_insert idx c fact_id =
-  let cell =
-    match Hashtbl.find_opt idx c with
-    | Some v -> v
-    | None ->
-      let v = Vec.create () in
-      Hashtbl.add idx c v;
-      v
-  in
-  Vec.push cell fact_id
+let relation t p = SymMap.find_opt p t.rels
 
 let add t f =
-  if Fact.Table.mem t.all f then false
-  else begin
-    Fact.Table.add t.all f ();
-    let s = store_of t (Fact.pred f) in
-    let fact_id = Vec.length s.store_facts in
-    Vec.push s.store_facts f;
-    Hashtbl.iter
-      (fun pos idx -> index_insert idx (Fact.args f).(pos) fact_id)
-      s.indexes;
-    true
-  end
-
-(* Insertion without the membership pre-check: the flat engine's merge
-   ([Engine]) walks rows its relations have already deduplicated, so
-   re-hashing each fact just to learn it is fresh would double the cost
-   of the per-fact tail. *)
-let add_new t f =
-  Fact.Table.add t.all f ();
-  let s = store_of t (Fact.pred f) in
-  let fact_id = Vec.length s.store_facts in
-  Vec.push s.store_facts f;
-  Hashtbl.iter
-    (fun pos idx -> index_insert idx (Fact.args f).(pos) fact_id)
-    s.indexes
+  let p = Fact.pred f in
+  let rel =
+    match SymMap.find_opt p t.rels with
+    | Some rel ->
+      if Flatrel.arity rel <> Fact.arity f then
+        invalid_arg
+          (Printf.sprintf
+             "Database.add: predicate %s has arity %d, but %s has arity %d"
+             (Symbol.name p) (Flatrel.arity rel) (Fact.to_string f)
+             (Fact.arity f));
+      rel
+    | None ->
+      let rel = Flatrel.create ~arity:(Fact.arity f) in
+      t.rels <- SymMap.add p rel t.rels;
+      rel
+  in
+  Flatrel.add rel (Fact.args f) 0
 
 let of_list l =
   let t = create () in
@@ -83,94 +46,91 @@ let of_set s =
   Fact.Set.iter (fun f -> ignore (add t f)) s;
   t
 
-let mem t f = Fact.Table.mem t.all f
-let size t = Fact.Table.length t.all
+let mem t f =
+  match SymMap.find_opt (Fact.pred f) t.rels with
+  | Some rel -> Flatrel.arity rel = Fact.arity f && Flatrel.mem rel (Fact.args f) 0
+  | None -> false
 
-let preds t = List.map fst (SymMap.bindings t.stores) |> List.filter (fun p -> Vec.length (SymMap.find p t.stores).store_facts > 0)
+let size t = SymMap.fold (fun _ rel n -> n + Flatrel.length rel) t.rels 0
+
+let preds t =
+  SymMap.fold (fun p rel acc -> if Flatrel.length rel > 0 then p :: acc else acc) t.rels []
+  |> List.rev
 
 let count_pred t p =
-  match SymMap.find_opt p t.stores with
-  | Some s -> Vec.length s.store_facts
+  match SymMap.find_opt p t.rels with
+  | Some rel -> Flatrel.length rel
   | None -> 0
 
-let iter f t = SymMap.iter (fun _ s -> Vec.iter f s.store_facts) t.stores
+let iter_rel f p rel = Flatrel.iter rel (fun row -> f (Flatrel.fact rel ~pred:p row))
+
+let iter f t = SymMap.iter (iter_rel f) t.rels
 
 let iter_pred t p f =
-  match SymMap.find_opt p t.stores with
-  | Some s -> Vec.iter f s.store_facts
+  match SymMap.find_opt p t.rels with
+  | Some rel -> iter_rel f p rel
   | None -> ()
 
-let ensure_index s pos =
-  match Hashtbl.find_opt s.indexes pos with
-  | Some idx -> idx
-  | None ->
-    let idx : pos_index = Hashtbl.create 64 in
-    Vec.iteri (fun i f -> index_insert idx (Fact.args f).(pos) i) s.store_facts;
-    Hashtbl.add s.indexes pos idx;
-    Metrics.incr m_index_builds;
-    Metrics.add m_index_entries (Vec.length s.store_facts);
-    idx
+(* Bucket size of [c] at column [pos], building the column index on
+   first use. A position beyond the arity matches nothing. *)
+let bucket_size rel (pos, c) =
+  if pos >= Flatrel.arity rel then 0
+  else begin
+    Flatrel.ensure_index rel pos;
+    Flatrel.probe_count rel pos c
+  end
 
 let estimate t p bound =
-  match SymMap.find_opt p t.stores with
+  match SymMap.find_opt p t.rels with
   | None -> 0
-  | Some s -> (
+  | Some rel -> (
     match bound with
-    | [] -> Vec.length s.store_facts
-    | _ ->
-      List.fold_left
-        (fun acc (pos, c) ->
-          let idx = ensure_index s pos in
-          let bucket =
-            match Hashtbl.find_opt idx c with
-            | Some ids -> Vec.length ids
-            | None -> 0
-          in
-          min acc bucket)
-        max_int bound)
+    | [] -> Flatrel.length rel
+    | _ -> List.fold_left (fun acc b -> min acc (bucket_size rel b)) max_int bound)
 
 let iter_matching t p bound f =
-  match SymMap.find_opt p t.stores with
+  match SymMap.find_opt p t.rels with
   | None -> ()
-  | Some s -> begin
+  | Some rel -> (
+    let arity = Flatrel.arity rel in
     match bound with
-    | [] -> Vec.iter f s.store_facts
-    | _ ->
+    | [] -> iter_rel f p rel
+    | _ when List.length bound = arity ->
+      (* Every position bound: one row-table lookup, no index. *)
+      let args = Array.make arity 0 in
+      List.iter (fun (pos, c) -> args.(pos) <- c) bound;
+      Metrics.incr m_index_probes;
+      if Flatrel.mem rel args 0 then begin
+        Metrics.incr m_index_hits;
+        f (Fact.make p args)
+      end
+    | _ -> (
       (* Scan the smallest index bucket among the bound positions and
          filter on the others. *)
       let best =
         List.fold_left
-          (fun acc ((pos, c) as entry) ->
-            let idx = ensure_index s pos in
-            let size =
-              match Hashtbl.find_opt idx c with
-              | Some ids -> Vec.length ids
-              | None -> 0
-            in
+          (fun acc entry ->
+            let size = bucket_size rel entry in
             match acc with
             | Some (_, best_size) when best_size <= size -> acc
             | _ -> Some (entry, size))
           None bound
       in
-      (match best with
+      match best with
       | None -> ()
+      | Some (_, 0) -> Metrics.incr m_index_probes
       | Some ((pos0, c0), _) ->
-        let idx = ensure_index s pos0 in
         Metrics.incr m_index_probes;
-        (match Hashtbl.find_opt idx c0 with
-        | None -> ()
-        | Some ids ->
-          Metrics.incr m_index_hits;
-          let rest = List.filter (fun (pos, _) -> pos <> pos0) bound in
-          let matches fact =
-            List.for_all (fun (pos, c) -> Symbol.equal (Fact.args fact).(pos) c) rest
-          in
-          Vec.iter
-            (fun i ->
-              let fact = Vec.get s.store_facts i in
-              if matches fact then f fact)
-            ids))
-  end
+        Option.iter
+          (fun rows ->
+            Metrics.incr m_index_hits;
+            let rest = List.filter (fun (pos, _) -> pos <> pos0) bound in
+            Vec.iter
+              (fun row ->
+                if List.for_all (fun (pos, c) -> Flatrel.get rel row pos = c) rest
+                then f (Flatrel.fact rel ~pred:p row))
+              rows)
+          (Flatrel.bucket rel pos0 c0)))
 
 let to_list t =
   let acc = ref [] in
@@ -184,7 +144,13 @@ let to_set t =
 
 let domain t =
   let seen = Hashtbl.create 256 in
-  iter (fun f -> Array.iter (fun c -> Hashtbl.replace seen c ()) (Fact.args f)) t;
+  SymMap.iter
+    (fun _ rel ->
+      Flatrel.iter rel (fun row ->
+          for col = 0 to Flatrel.arity rel - 1 do
+            Hashtbl.replace seen (Flatrel.get rel row col) ()
+          done))
+    t.rels;
   List.sort Symbol.compare (Hashtbl.fold (fun c () acc -> c :: acc) seen [])
 
 let copy t = of_list (to_list t)

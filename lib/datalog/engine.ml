@@ -399,36 +399,43 @@ let run_task ~model ~limits ~ranges ~direct task =
 
 let round_args round () = [ ("round", Util.Json.Num (float_of_int round)) ]
 
-let seminaive ?ranks ?(jobs = 1) ?stats program db =
+let seminaive ?(jobs = 1) ?stats program db =
   Metrics.time m_seminaive_time @@ fun () ->
   Metrics.incr m_runs;
-  (* The database's facts in the order the structural engine holds its
-     model: [of_list (to_list db)] there reverses [db]'s iteration
-     order per predicate, and the final database built after the
-     fixpoint below replays this exact list, so model iteration order —
-     which leaks into closure and encoding order downstream — is
-     identical between engines. *)
-  let db_facts = Database.to_list db in
-  (* Flat relations for every schema predicate (facts of non-schema
-     predicates, which no rule can touch, reappear only in the final
-     database). *)
+  (* One flat relation per schema predicate, plus one per predicate of
+     the database no rule mentions; together they become the model.
+     Each starts with the database's rows in [Database.to_list db]
+     order (the reverse of its iteration order), the order the
+     structural engine's model holds them in, so model iteration order
+     — which leaks into closure and encoding order downstream — is the
+     same for both engines. *)
   let model : (Symbol.t, Flatrel.t) Hashtbl.t = Hashtbl.create 16 in
+  let load p arity =
+    let rel = Flatrel.create ~arity in
+    (match Database.relation db p with
+    | Some src ->
+      if Flatrel.arity src <> arity then
+        invalid_arg
+          (Printf.sprintf
+             "Engine.seminaive: predicate %s has arity %d in the program, \
+              but %d in the database"
+             (Symbol.name p) arity (Flatrel.arity src));
+      let buf = Array.make (max arity 1) 0 in
+      for row = Flatrel.length src - 1 downto 0 do
+        Flatrel.read_row src row buf 0;
+        ignore (Flatrel.add rel buf 0)
+      done
+    | None -> ());
+    Hashtbl.replace model p rel
+  in
+  List.iter (fun p -> load p (Program.arity program p)) (Program.schema program);
   List.iter
     (fun p ->
-      Hashtbl.replace model p (Flatrel.create ~arity:(Program.arity program p)))
-    (Program.schema program);
-  List.iter
-    (fun f ->
-      match Hashtbl.find_opt model (Fact.pred f) with
-      | Some rel when Flatrel.arity rel = Fact.arity f ->
-        ignore (Flatrel.of_fact rel f)
-      | _ -> ())
-    db_facts;
+      if not (Hashtbl.mem model p) then
+        Option.iter (fun src -> load p (Flatrel.arity src)) (Database.relation db p))
+    (Database.preds db);
   let schema_rels =
     List.map (fun p -> (p, Hashtbl.find model p)) (Program.schema program)
-  in
-  let init_lens =
-    List.map (fun (p, rel) -> (p, Flatrel.length rel)) schema_rels
   in
   (* Compile every (rule, delta position) pair once. Delta tasks are
      ordered stratum-first (then rule id, then body position): the task
@@ -509,12 +516,14 @@ let seminaive ?ranks ?(jobs = 1) ?stats program db =
       schema_rels
   in
   (* Round boundaries per predicate — [(round, hi)] in descending round
-     order — so the final walk can label every derived row with the
-     round that appended it. *)
+     order, starting with [(0, database rows)] — so the rank lookup can
+     label every row with the round that appended it. *)
   let boundaries : (Symbol.t, (int * int) list ref) Hashtbl.t =
     Hashtbl.create 16
   in
-  let derived_total = ref 0 in
+  Hashtbl.iter
+    (fun p rel -> Hashtbl.replace boundaries p (ref [ (0, Flatrel.length rel) ]))
+    model;
   let run_tasks tasks ranges =
     let ntasks = Array.length tasks in
     let work =
@@ -588,18 +597,10 @@ let seminaive ?ranks ?(jobs = 1) ?stats program db =
           total := !total + (hi - lo);
           Metrics.add m_derived (hi - lo);
           Flatrel.reindex_range rel lo hi;
-          let b =
-            match Hashtbl.find_opt boundaries pred with
-            | Some r -> r
-            | None ->
-              let r = ref [] in
-              Hashtbl.add boundaries pred r;
-              r
-          in
+          let b = Hashtbl.find boundaries pred in
           b := (round, hi) :: !b
         end)
       schema_rels;
-    derived_total := !derived_total + !total;
     if Metrics.is_enabled () then begin
       Metrics.observe_int m_delta_size !total;
       Hashtbl.iter
@@ -661,48 +662,34 @@ let seminaive ?ranks ?(jobs = 1) ?stats program db =
     incr round
   done;
   Option.iter Profile.run_end prof_run;
-  (* Materialize the model database once, pre-sized to its exact final
-     cardinality: first the database's own facts in structural-engine
-     order, then each relation's derived rows in append order — the
-     same per-predicate sequences an incremental build would produce.
-     Ranks are labelled from the recorded round boundaries. Callers
-     pass a fresh ranks table ({!Engine.seminaive}'s contract) and
-     every fact is recorded exactly once, so no membership pre-check is
-     needed. *)
-  let ndb = List.length db_facts in
-  let model_db = Database.create ~size:(ndb + !derived_total + 16) () in
-  let record round fact =
-    match ranks with
-    | Some table -> Fact.Table.add table fact round
-    | None -> ()
+  (* The relations are the model. A fact's rank is read off its row
+     id: the first round whose boundary lies past the row appended it
+     (round 0 covers the database's rows). A row past the last
+     boundary was added to the model after the fixpoint: no rank. *)
+  let rank_of : (Symbol.t, Flatrel.t * (int * int) array) Hashtbl.t =
+    Hashtbl.create 16
   in
-  List.iter
-    (fun f ->
-      Database.add_new model_db f;
-      record 0 f)
-    db_facts;
-  List.iter
-    (fun (pred, rel) ->
-      let init = List.assoc pred init_lens in
-      let len = Flatrel.length rel in
-      if len > init then begin
-        let bounds =
-          match Hashtbl.find_opt boundaries pred with
-          | Some r -> List.rev !r
-          | None -> []
-        in
-        let cur = ref bounds in
-        for row = init to len - 1 do
-          (match !cur with
-          | (_, hi) :: rest when row >= hi ->
-            cur := rest (* boundaries are one round apart: single step *)
-          | _ -> ());
-          let rnd = match !cur with (r, _) :: _ -> r | [] -> 0 in
-          let fact = Flatrel.fact rel ~pred row in
-          Database.add_new model_db fact;
-          record rnd fact
-        done
-      end)
-    schema_rels;
+  Hashtbl.iter
+    (fun p rel ->
+      let bounds = Array.of_list (List.rev !(Hashtbl.find boundaries p)) in
+      Hashtbl.replace rank_of p (rel, bounds))
+    model;
+  let rank f =
+    match Hashtbl.find_opt rank_of (Fact.pred f) with
+    | Some (rel, bounds) when Flatrel.arity rel = Fact.arity f ->
+      let row = Flatrel.find rel (Fact.args f) 0 in
+      let rec search lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if row < snd bounds.(mid) then search lo mid else search (mid + 1) hi
+      in
+      let i = search 0 (Array.length bounds) in
+      if row < 0 || i = Array.length bounds then None else Some (fst bounds.(i))
+    | _ -> None
+  in
+  let model_db =
+    Database.of_relations (Hashtbl.fold (fun p rel acc -> (p, rel) :: acc) model [])
+  in
   Metrics.add m_model_facts (Database.size model_db);
-  model_db
+  (model_db, rank)

@@ -23,18 +23,29 @@ val strata : Program.t -> Symbol.t list list
     first. Every schema predicate appears in exactly one stratum. *)
 
 val seminaive :
-  ?ranks:int Fact.Table.t ->
   ?jobs:int ->
   ?stats:Stats.t ->
   Program.t ->
   Database.t ->
-  Database.t
+  Database.t * (Fact.t -> int option)
 (** [seminaive program db] computes the model [Σ(D)] — same contract
-    as {!Eval.seminaive}, which delegates here. If [ranks] is given it
-    must be fresh (empty) and is filled with the first-derivation round
-    of every model fact (0 for database facts); each fact is recorded
-    exactly once, with no membership pre-check. [jobs] (default 1) is the number of domains
-    evaluating a round's rule tasks; results do not depend on it.
+    as {!Eval.seminaive}, which delegates here — together with its rank
+    lookup: [rank f] is the first-derivation round of the model fact
+    [f] (0 for database facts), [None] for a fact outside the model.
+    The model is not a copy: the fixpoint's flat relations become its
+    relations ({!Database.of_relations}), column indexes included, and
+    facts of database predicates no rule mentions get relations of
+    their own. The lookup reads a fact's row id against the round
+    boundaries the fixpoint recorded; it answers [None] for facts
+    added to the model afterwards.
+
+    Model iteration order, per predicate: the database's facts in
+    [Database.to_list db] order, then the derived rows in the order
+    the fixpoint appended them (round by round). Closure and encoding
+    order downstream depend on it.
+
+    [jobs] (default 1) is the number of domains evaluating a round's
+    rule tasks; results do not depend on it.
     [stats] switches {!Plan.compile} to cost-based join ordering for
     every compiled task. The model and the ranks are identical in either
     plan mode — each round derives a join-order-independent {e set} of
@@ -53,4 +64,6 @@ val seminaive :
     into the accumulated profile (see {!Profile}); the counts are
     deterministic across [jobs] because workers only fill task-local
     buffers and the coordinator folds them in task order after each
-    round's merge. *)
+    round's merge.
+    @raise Invalid_argument if a predicate has one arity in the program
+    and another in [db]. *)

@@ -157,14 +157,13 @@ let naive program db =
   done;
   model
 
-let seminaive_structural ?ranks program db =
+let seminaive_structural program db =
   Metrics.time m_seminaive_time @@ fun () ->
   Metrics.incr m_runs;
   let model = Database.of_list (Database.to_list db) in
+  let ranks : int Fact.Table.t = Fact.Table.create 1024 in
   let record round fact =
-    match ranks with
-    | Some table -> if not (Fact.Table.mem table fact) then Fact.Table.add table fact round
-    | None -> ()
+    if not (Fact.Table.mem ranks fact) then Fact.Table.add ranks fact round
   in
   Database.iter (record 0) db;
   (* Round 1: plain evaluation of every rule over the database. *)
@@ -225,12 +224,12 @@ let seminaive_structural ?ranks program db =
     incr round
   done;
   Metrics.add m_model_facts (Database.size model);
-  model
+  (model, Fact.Table.find_opt ranks)
 
 (* The production fixpoint: the interned flat-tuple engine. The
    structural implementation above stays as its differential oracle. *)
-let seminaive ?ranks ?jobs ?stats program db =
-  Engine.seminaive ?ranks ?jobs ?stats program db
+let seminaive_ranked = Engine.seminaive
+let seminaive ?jobs ?stats program db = fst (Engine.seminaive ?jobs ?stats program db)
 
 let holds program db fact = Database.mem (seminaive program db) fact
 

@@ -26,29 +26,33 @@ val naive : Program.t -> Database.t -> Database.t
 (** Naive fixpoint; returns the model [Σ(D)] (which includes [D]).
     Used as a test oracle for [seminaive]. *)
 
-val seminaive :
-  ?ranks:int Fact.Table.t ->
+val seminaive : ?jobs:int -> ?stats:Stats.t -> Program.t -> Database.t -> Database.t
+(** Semi-naive fixpoint; returns the model [Σ(D)]. Delegates to the
+    interned flat-tuple engine ({!Engine.seminaive}); [jobs] (default 1)
+    evaluates each round's rule tasks across that many domains without
+    changing any result; [stats] switches the compiled join plans to
+    cost-based ordering (same model and ranks, possibly different model
+    iteration order — see {!Engine.seminaive}). When
+    {!Profile.is_enabled} is true at call time, the run contributes
+    per-rule / per-atom / per-SCC attribution to the accumulated profile
+    ({!Profile.snapshot}). *)
+
+val seminaive_ranked :
   ?jobs:int ->
   ?stats:Stats.t ->
   Program.t ->
   Database.t ->
-  Database.t
-(** Semi-naive fixpoint; returns the model [Σ(D)]. If [ranks] is given it
-    is filled with the first-derivation round of every model fact
-    (0 for database facts). Delegates to the interned flat-tuple engine
-    ({!Engine.seminaive}); [jobs] (default 1) evaluates each round's
-    rule tasks across that many domains without changing any result;
-    [stats] switches the compiled join plans to cost-based ordering
-    (same model and ranks, possibly different model iteration order —
-    see {!Engine.seminaive}). When {!Profile.is_enabled} is true at
-    call time, the run contributes per-rule / per-atom / per-SCC
-    attribution to the accumulated profile ({!Profile.snapshot}). *)
+  Database.t * (Fact.t -> int option)
+(** {!seminaive} with the rank lookup of {!Engine.seminaive}: the
+    first-derivation round of every model fact (0 for database facts),
+    [None] outside the model. *)
 
 val seminaive_structural :
-  ?ranks:int Fact.Table.t -> Program.t -> Database.t -> Database.t
-(** The pre-{!Engine} reference implementation of [seminaive], joining
-    structural {!Atom.t}/{!binding} values directly over {!Database.t}
-    indexes. Kept as the differential-testing oracle: model, ranks and
+  Program.t -> Database.t -> Database.t * (Fact.t -> int option)
+(** The pre-{!Engine} reference implementation of [seminaive_ranked],
+    joining structural {!Atom.t}/{!binding} values directly over
+    {!Database.t} indexes, its rank lookup backed by a table of its
+    own. Kept as the differential-testing oracle: model, ranks and
     round structure must agree with {!seminaive} on every program. *)
 
 val holds : Program.t -> Database.t -> Fact.t -> bool

@@ -132,9 +132,11 @@ let add t buf off =
 
 let add_row t row = add t row 0
 
-let mem t buf off =
+let find t buf off =
   let slot = ref 0 in
-  lookup t buf off slot >= 0
+  lookup t buf off slot
+
+let mem t buf off = find t buf off >= 0
 
 let get t row col = Array.unsafe_get t.data ((row * t.arity) + col)
 
@@ -196,7 +198,3 @@ let fact t ~pred row =
     Array.unsafe_set args col (Array.unsafe_get t.data (base + col))
   done;
   Fact.make pred args
-
-let of_fact t f =
-  if Fact.arity f <> t.arity then invalid_arg "Flatrel.of_fact: arity mismatch";
-  add t (Fact.args f) 0

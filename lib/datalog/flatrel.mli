@@ -2,7 +2,8 @@
     [int array].
 
     This is the in-memory representation the semi-naive engine
-    ({!Engine}) joins over — the design ported from specialized
+    ({!Engine}) joins over, and the store behind every {!Database}
+    (the engine's relations become the model) — the design ported from specialized
     flat-relation Datalog engines (see [docs/ARCHITECTURE.md]): all
     constants are interned symbols ({!Symbol.t}), so a fact of arity
     [k] is [k] consecutive ints in one growable backing array. Rows are
@@ -54,9 +55,12 @@ val drop_index : t -> int -> unit
     inserts stop maintaining it. The engine drops indexes that only the
     first (full-evaluation) round probes. *)
 
+val find : t -> int array -> int -> int
+(** [find rel buf off] is the id of the row equal to the one at [off]
+    in [buf], or [-1] when the relation does not hold it. *)
+
 val mem : t -> int array -> int -> bool
-(** [mem rel buf off] tests membership of the row at [off] in [buf]
-    without inserting it. *)
+(** [mem rel buf off] is [find rel buf off >= 0]. *)
 
 val get : t -> int -> int -> int
 (** [get rel row col] reads one cell. {b Unchecked} — this is the join
@@ -96,7 +100,3 @@ val bucket : t -> int -> int -> int Util.Vec.t option
 
 val fact : t -> pred:Symbol.t -> int -> Fact.t
 (** Materializes row [row] as a {!Fact.t} of predicate [pred]. *)
-
-val of_fact : t -> Fact.t -> bool
-(** [of_fact rel f] inserts the argument row of [f]; returns [true] iff
-    new. The fact's arity must equal the relation's. *)

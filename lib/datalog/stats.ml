@@ -18,24 +18,17 @@ let of_database db =
   let t = create () in
   List.iter
     (fun p ->
-      let n = Database.count_pred db p in
-      let arity = ref 0 in
-      (* Arity of a stored predicate is the arity of its first fact:
-         [Database.add] never mixes arities within one store. *)
-      (try
-         Database.iter_pred db p (fun f ->
-             arity := Fact.arity f;
-             raise Exit)
-       with Exit -> ());
-      let seen = Array.init !arity (fun _ -> Hashtbl.create 64) in
-      Database.iter_pred db p (fun f ->
-          let args = Fact.args f in
-          Array.iteri (fun i tbl -> Hashtbl.replace tbl args.(i) ()) seen);
-      set t p
-        {
-          rows = float_of_int n;
-          distinct = Array.map (fun tbl -> float_of_int (Hashtbl.length tbl)) seen;
-        })
+      match Database.relation db p with
+      | None -> ()
+      | Some rel ->
+        let seen = Array.init (Flatrel.arity rel) (fun _ -> Hashtbl.create 64) in
+        Flatrel.iter rel (fun row ->
+            Array.iteri (fun col tbl -> Hashtbl.replace tbl (Flatrel.get rel row col) ()) seen);
+        set t p
+          {
+            rows = float_of_int (Flatrel.length rel);
+            distinct = Array.map (fun tbl -> float_of_int (Hashtbl.length tbl)) seen;
+          })
     (Database.preds db);
   t
 

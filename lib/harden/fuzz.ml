@@ -180,30 +180,21 @@ let check_engine (t : W.Randprog.t) =
   Metrics.incr m_engine_checks;
   let program = W.Randprog.program t in
   let db = W.Randprog.database t in
-  let ranked table =
-    D.Fact.Table.fold (fun f r acc -> (f, r) :: acc) table []
-    |> List.sort compare
-  in
-  let r_struct = D.Fact.Table.create 64 in
-  let m_struct =
-    D.Eval.seminaive_structural ~ranks:r_struct program db
-    |> D.Database.to_list |> List.sort D.Fact.compare
-  in
+  let m_struct, rank_struct = D.Eval.seminaive_structural program db in
+  let m_struct = D.Database.to_list m_struct |> List.sort D.Fact.compare in
+  let ranks rank = List.map rank m_struct in
   let rec go = function
     | [] -> Ok ()
     | jobs :: rest ->
-      let r_flat = D.Fact.Table.create 64 in
-      let m_flat =
-        D.Engine.seminaive ~ranks:r_flat ~jobs program db
-        |> D.Database.to_list |> List.sort D.Fact.compare
-      in
+      let m_flat, rank_flat = D.Engine.seminaive ~jobs program db in
+      let m_flat = D.Database.to_list m_flat |> List.sort D.Fact.compare in
       if not (List.equal D.Fact.equal m_struct m_flat) then
         Error
           (Printf.sprintf
              "flat engine (jobs %d) model differs from structural (%d vs %d \
               facts)"
              jobs (List.length m_flat) (List.length m_struct))
-      else if ranked r_struct <> ranked r_flat then
+      else if ranks rank_struct <> ranks rank_flat then
         Error (Printf.sprintf "flat engine (jobs %d) ranks differ" jobs)
       else go rest
   in
@@ -216,22 +207,18 @@ let check_planner (t : W.Randprog.t) =
   Metrics.incr m_planner_checks;
   let program = W.Randprog.program t in
   let db = W.Randprog.database t in
-  let ranked table =
-    D.Fact.Table.fold (fun f r acc -> (f, r) :: acc) table []
-    |> List.sort compare
-  in
   let sorted model = D.Database.to_list model |> List.sort D.Fact.compare in
-  let r_heur = D.Fact.Table.create 64 in
-  let m_heur = sorted (D.Eval.seminaive ~ranks:r_heur program db) in
+  let m_heur, rank_heur = D.Eval.seminaive_ranked program db in
+  let m_heur = sorted m_heur in
   let stats = A.Absint.stats (A.Absint.analyze program db) in
-  let r_cost = D.Fact.Table.create 64 in
-  let m_cost = sorted (D.Eval.seminaive ~ranks:r_cost ~stats program db) in
+  let m_cost, rank_cost = D.Eval.seminaive_ranked ~stats program db in
+  let m_cost = sorted m_cost in
   if not (List.equal D.Fact.equal m_heur m_cost) then
     Error
       (Printf.sprintf
          "cost-based plan model differs from heuristic (%d vs %d facts)"
          (List.length m_cost) (List.length m_heur))
-  else if ranked r_heur <> ranked r_cost then
+  else if List.map rank_heur m_heur <> List.map rank_cost m_heur then
     Error "cost-based plan ranks differ from heuristic"
   else Ok ()
 

@@ -300,6 +300,15 @@ let test_batch_statuses () =
     Alcotest.(check bool) "missing has no members" true
       (bad.P.Batch.members = [] && bad.P.Batch.rank = None)
   | rs -> Alcotest.failf "expected 2 results, got %d" (List.length rs));
+  (* Every requested tuple's rank is the engine's rank lookup. *)
+  let _, rank = D.Eval.seminaive_ranked tc_program db in
+  let requested = [ derivable; missing; fact "tc" [ "b0"; "b1" ]; fact "edge" [ "b1"; "b2" ] ] in
+  List.iter
+    (fun (r : P.Batch.result) ->
+      Alcotest.(check (option int))
+        ("rank of " ^ D.Fact.to_string r.P.Batch.fact)
+        (rank r.P.Batch.fact) r.P.Batch.rank)
+    (P.Batch.run ~jobs:2 tc_program db (P.Batch.Facts requested)).P.Batch.results;
   let limited =
     P.Batch.run ~limit:1 tc_program db (P.Batch.Facts [ derivable ])
   in

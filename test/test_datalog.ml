@@ -265,9 +265,8 @@ let test_derivations_multiple () =
 let test_ranks_chain () =
   let program = parse_program tc_program in
   let db = D.Database.of_list (chain_db 4) in
-  let ranks = D.Fact.Table.create 64 in
-  let _model = D.Eval.seminaive ~ranks program db in
-  let rank_of p args = D.Fact.Table.find ranks (D.Fact.of_strings p args) in
+  let _model, rank = D.Eval.seminaive_ranked program db in
+  let rank_of p args = Option.get (rank (D.Fact.of_strings p args)) in
   Alcotest.(check int) "edb rank" 0 (rank_of "edge" [ "c0"; "c1" ]);
   Alcotest.(check int) "1-step" 1 (rank_of "path" [ "c0"; "c1" ]);
   Alcotest.(check int) "2-step" 2 (rank_of "path" [ "c0"; "c2" ]);
@@ -283,11 +282,11 @@ let test_ranks_are_minimal () =
         (random_graph_db rng ~nodes:(2 + Util.Rng.int rng 6)
            ~edges:(Util.Rng.int rng 15))
     in
-    let ranks = D.Fact.Table.create 64 in
-    let model = D.Eval.seminaive ~ranks program db in
+    let model, rank = D.Eval.seminaive_ranked program db in
+    let rank f = Option.get (rank f) in
     D.Database.iter
       (fun f ->
-        let r = D.Fact.Table.find ranks f in
+        let r = rank f in
         if D.Database.mem db f then Alcotest.(check int) "edb 0" 0 r
         else begin
           let ds = D.Eval.derivations program model f in
@@ -295,7 +294,7 @@ let test_ranks_are_minimal () =
             List.fold_left
               (fun acc (_, body) ->
                 let cost =
-                  1 + List.fold_left (fun m b -> max m (D.Fact.Table.find ranks b)) 0 body
+                  1 + List.fold_left (fun m b -> max m (rank b)) 0 body
                 in
                 min acc cost)
               max_int ds
@@ -329,6 +328,33 @@ let test_database_introspection () =
   Alcotest.(check int) "copy independent" 3 (D.Database.size db);
   Alcotest.(check bool) "add dedup" false
     (D.Database.add copy (D.Fact.of_strings "edge" [ "x"; "y" ]))
+
+(* One arity per predicate per store: a second arity is rejected with
+   a message naming the predicate and both arities, and the store is
+   left as it was. Evaluation refuses a database whose arity for a
+   predicate disagrees with the program's. *)
+let test_database_one_arity () =
+  let db = D.Database.of_list (chain_db 2) in
+  Alcotest.check_raises "second arity"
+    (Invalid_argument
+       "Database.add: predicate edge has arity 2, but edge(c0) has arity 1")
+    (fun () -> ignore (D.Database.add db (D.Fact.of_strings "edge" [ "c0" ])));
+  Alcotest.(check int) "store unchanged" 2 (D.Database.size db);
+  Alcotest.(check bool) "wrong-arity fact not a member" false
+    (D.Database.mem db (D.Fact.of_strings "edge" [ "c0" ]));
+  (match
+     D.Database.of_list
+       [ D.Fact.of_strings "p" [ "a" ]; D.Fact.of_strings "p" [ "a"; "b" ] ]
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "of_list must reject two arities of one predicate");
+  let program = parse_program tc_program in
+  let bad = D.Database.of_list [ D.Fact.of_strings "edge" [ "a"; "b"; "c" ] ] in
+  Alcotest.check_raises "program/database arity"
+    (Invalid_argument
+       "Engine.seminaive: predicate edge has arity 2 in the program, but 3 \
+        in the database")
+    (fun () -> ignore (D.Eval.seminaive program bad))
 
 let test_check_database () =
   let program = parse_program tc_program in
@@ -378,6 +404,7 @@ let suite =
       tc "ranks minimal" `Quick test_ranks_are_minimal;
       tc "zero-arity predicates" `Quick test_zero_arity_eval;
       tc "database introspection" `Quick test_database_introspection;
+      tc "database: one arity per predicate" `Quick test_database_one_arity;
       tc "check_database" `Quick test_check_database;
       tc "parse file" `Quick test_parse_file;
     ] )

@@ -15,9 +15,9 @@ module W = Workloads
 
 let fact = Alcotest.testable D.Fact.pp D.Fact.equal
 
-let ranked_facts table =
-  D.Fact.Table.fold (fun f r acc -> (D.Fact.to_string f, r) :: acc) table []
-  |> List.sort compare
+(* The rank of every listed fact, as comparable (fact, rank) pairs. *)
+let ranked_facts rank facts =
+  List.map (fun f -> (D.Fact.to_string f, Option.value ~default:(-1) (rank f))) facts
 
 (* A rule instance as a comparable string; [Eval.derivations] returns
    both engines' instances in the same order when the models iterate
@@ -34,8 +34,7 @@ let instances program model f =
    domain counts the flat engine is exercised at; [extract] caps how
    many model facts get their rule instances cross-checked. *)
 let differential ?(jobs = [ 1 ]) ?(extract = 12) name program db =
-  let r_struct = D.Fact.Table.create 64 in
-  let m_struct = D.Eval.seminaive_structural ~ranks:r_struct program db in
+  let m_struct, r_struct = D.Eval.seminaive_structural program db in
   let sorted_struct =
     List.sort D.Fact.compare (D.Database.to_list m_struct)
   in
@@ -43,8 +42,7 @@ let differential ?(jobs = [ 1 ]) ?(extract = 12) name program db =
   List.iter
     (fun j ->
       let tag = Printf.sprintf "%s (jobs %d)" name j in
-      let r_flat = D.Fact.Table.create 64 in
-      let m_flat = D.Engine.seminaive ~ranks:r_flat ~jobs:j program db in
+      let m_flat, r_flat = D.Engine.seminaive ~jobs:j program db in
       let l_flat = D.Database.to_list m_flat in
       Alcotest.(check (list fact))
         (tag ^ ": model") sorted_struct
@@ -57,7 +55,9 @@ let differential ?(jobs = [ 1 ]) ?(extract = 12) name program db =
       | Some first ->
         Alcotest.(check (list fact)) (tag ^ ": deterministic order") first l_flat);
       Alcotest.(check (list (pair string int)))
-        (tag ^ ": ranks") (ranked_facts r_struct) (ranked_facts r_flat);
+        (tag ^ ": ranks")
+        (ranked_facts r_struct sorted_struct)
+        (ranked_facts r_flat sorted_struct);
       (* Spread the extraction sample across the model so it hits facts
          of several rounds, not just the first predicate's prefix. *)
       let n = List.length sorted_struct in
@@ -90,6 +90,139 @@ let prop_random_differential =
       differential ~extract:8 "random" (W.Randprog.program t)
         (W.Randprog.database t);
       true)
+
+(* A random instance whose database also holds facts of intensional
+   predicates — every third derived fact (rank 0 must win over the
+   round that would derive it) and one all-equal tuple per IDB
+   predicate — and facts of a predicate no rule mentions. *)
+let augmented t =
+  let program = W.Randprog.program t and db = W.Randprog.database t in
+  let extra = ref [] in
+  let i = ref 0 in
+  D.Database.iter
+    (fun f ->
+      if not (D.Database.mem db f) then begin
+        if !i mod 3 = 0 then extra := f :: !extra;
+        incr i
+      end)
+    (D.Eval.seminaive program db);
+  (match D.Database.domain db with
+  | [] -> ()
+  | c :: rest ->
+    List.iter
+      (fun p ->
+        extra := D.Fact.make p (Array.make (D.Program.arity program p) c) :: !extra)
+      (D.Program.idb program);
+    let u = D.Symbol.intern "unmentioned" in
+    List.iter (fun d -> extra := D.Fact.make u [| c; d |] :: !extra) (c :: rest));
+  (program, D.Database.of_list (D.Database.to_list db @ !extra))
+
+let sorted_list model = List.sort D.Fact.compare (D.Database.to_list model)
+
+(* The flat engine's rank lookup against the structural oracle's rank
+   table, on every model fact and on facts outside the model (unknown
+   tuple, wrong arity), at jobs 1 and 2. *)
+let prop_rank_lookup =
+  QCheck.Test.make ~count:60 ~name:"rank lookup = structural ranks"
+    arb_program_db (fun t ->
+      let program, db = augmented t in
+      let m_struct, r_struct = D.Eval.seminaive_structural program db in
+      let facts = sorted_list m_struct in
+      let outside =
+        [ D.Fact.of_strings "unmentioned" [ "not-in-db"; "x" ];
+          D.Fact.of_strings "unmentioned" [ "x" ] ]
+      in
+      List.iter
+        (fun f ->
+          if D.Database.mem db f && r_struct f <> Some 0 then
+            QCheck.Test.fail_reportf "oracle: database fact %s not rank 0"
+              (D.Fact.to_string f))
+        facts;
+      List.for_all
+        (fun jobs ->
+          let m_flat, r_flat = D.Engine.seminaive ~jobs program db in
+          if not (List.equal D.Fact.equal facts (sorted_list m_flat)) then
+            QCheck.Test.fail_reportf "jobs %d: models differ" jobs;
+          List.iter
+            (fun f ->
+              if r_flat f <> r_struct f then
+                QCheck.Test.fail_reportf "jobs %d: rank of %s differs" jobs
+                  (D.Fact.to_string f))
+            (facts @ outside);
+          true)
+        [ 1; 2 ])
+
+(* The model iteration-order contract (Engine.seminaive, Database.iter):
+   predicates in symbol order; per predicate, the database's facts in
+   [Database.to_list db] order, then the derived facts round by round.
+   Closure and encoding order downstream depend on it. Both engines
+   keep it. *)
+let check_iteration_order name db (model, rank) =
+  let preds = D.Database.preds model in
+  if preds <> List.sort D.Symbol.compare preds then
+    QCheck.Test.fail_reportf "%s: predicates out of symbol order" name;
+  let per_pred =
+    List.map
+      (fun p ->
+        let l = ref [] in
+        D.Database.iter_pred model p (fun f -> l := f :: !l);
+        List.rev !l)
+      preds
+  in
+  let all = ref [] in
+  D.Database.iter (fun f -> all := f :: !all) model;
+  if not (List.equal D.Fact.equal (List.rev !all) (List.concat per_pred)) then
+    QCheck.Test.fail_reportf "%s: iter is not iter_pred over preds" name;
+  let db_order = D.Database.to_list db in
+  List.iter2
+    (fun p facts ->
+      let from_db = List.filter (fun f -> D.Fact.pred f = p) db_order in
+      let n = List.length from_db in
+      let prefix = List.filteri (fun i _ -> i < n) facts in
+      let derived = List.filteri (fun i _ -> i >= n) facts in
+      if not (List.equal D.Fact.equal prefix from_db) then
+        QCheck.Test.fail_reportf "%s: %s database facts out of order" name
+          (D.Symbol.name p);
+      let ranks = List.map (fun f -> Option.get (rank f)) derived in
+      if List.exists (fun r -> r < 1) ranks || ranks <> List.sort compare ranks
+      then
+        QCheck.Test.fail_reportf "%s: %s derived facts not round by round"
+          name (D.Symbol.name p))
+    preds per_pred;
+  true
+
+let prop_iteration_order =
+  QCheck.Test.make ~count:60 ~name:"model iteration order" arb_program_db
+    (fun t ->
+      let program, db = augmented t in
+      check_iteration_order "flat" db (D.Engine.seminaive program db)
+      && check_iteration_order "flat jobs 2" db
+           (D.Engine.seminaive ~jobs:2 program db)
+      && check_iteration_order "structural" db
+           (D.Eval.seminaive_structural program db))
+
+(* The exact order on a chain: database rows first (reversed insertion
+   order, as [to_list] gives them), then each round's rows. *)
+let test_iteration_order_chain () =
+  let program =
+    fst
+      (D.Parser.program_of_string
+         "tc(X,Y) :- edge(X,Y).\ntc(X,Z) :- tc(X,Y), edge(Y,Z).")
+  in
+  let db =
+    D.Database.of_list
+      (List.map
+         (fun (a, b) -> D.Fact.of_strings "edge" [ a; b ])
+         [ ("a", "b"); ("b", "c"); ("c", "d") ])
+  in
+  let model = D.Eval.seminaive program db in
+  let tc = ref [] in
+  D.Database.iter_pred model (D.Symbol.intern "tc") (fun f ->
+      tc := D.Fact.to_string f :: !tc);
+  Alcotest.(check (list string))
+    "tc rows"
+    [ "tc(c,d)"; "tc(b,c)"; "tc(a,b)"; "tc(b,d)"; "tc(a,c)"; "tc(a,d)" ]
+    (List.rev !tc)
 
 (* Every bundled workload, at sizes small enough to run as a test but
    deep enough to recurse for several rounds. *)
@@ -160,5 +293,8 @@ let suite =
       Alcotest.test_case "parallel determinism (jobs 1/2/4)" `Quick
         test_parallel_determinism;
       Alcotest.test_case "intern round-trip and freezing" `Quick
-        test_intern_round_trip ]
-    @ List.map QCheck_alcotest.to_alcotest [ prop_random_differential ] )
+        test_intern_round_trip;
+      Alcotest.test_case "iteration order on a chain" `Quick
+        test_iteration_order_chain ]
+    @ List.map QCheck_alcotest.to_alcotest
+        [ prop_random_differential; prop_rank_lookup; prop_iteration_order ] )
